@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "ntco/common/units.hpp"
@@ -97,9 +98,9 @@ struct PlanCacheStats {
 [[nodiscard]] PlanKey quantize(const DecisionContext& ctx,
                                const PlanCacheConfig& cfg);
 
-/// Deterministic LRU+TTL plan cache. Returned plan pointers are valid only
-/// until the next insert()/lookup() (either may evict); copy the plan out
-/// before yielding to the simulator.
+/// Deterministic LRU+TTL plan cache over immutable, shared plans: a hit
+/// hands out a reference to the cached plan, which stays alive for as long
+/// as the caller holds it, whatever the cache evicts or overwrites later.
 class PlanCache {
  public:
   explicit PlanCache(PlanCacheConfig cfg);
@@ -107,13 +108,13 @@ class PlanCache {
   /// Looks up a reusable plan for `ctx` at simulated time `now`. Counts a
   /// hit (exact bucket), a hysteresis hit (adjacent bucket within drift),
   /// or a miss; expired entries are erased and counted on the way.
-  [[nodiscard]] const core::DeploymentPlan* lookup(const DecisionContext& ctx,
-                                                   TimePoint now);
+  [[nodiscard]] std::shared_ptr<const core::DeploymentPlan> lookup(
+      const DecisionContext& ctx, TimePoint now);
 
   /// Caches `plan` under ctx's exact bucket (overwriting any previous
   /// occupant), evicting the least-recently-used entry beyond capacity.
-  void insert(const DecisionContext& ctx, core::DeploymentPlan plan,
-              TimePoint now);
+  void insert(const DecisionContext& ctx,
+              std::shared_ptr<const core::DeploymentPlan> plan, TimePoint now);
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] const PlanCacheStats& stats() const { return stats_; }
@@ -126,7 +127,7 @@ class PlanCache {
 
  private:
   struct Entry {
-    core::DeploymentPlan plan;
+    std::shared_ptr<const core::DeploymentPlan> plan;
     DecisionContext planned;  ///< raw context the plan was computed for
     TimePoint inserted;
     std::uint64_t last_used = 0;
@@ -147,8 +148,7 @@ class PlanCache {
   };
 
   PlanCacheConfig cfg_;
-  // std::map: deterministic iteration for eviction scans and stable
-  // addresses for the returned plan pointers between mutations.
+  // std::map: deterministic iteration for eviction scans.
   std::map<PlanKey, Entry> entries_;
   std::uint64_t tick_ = 0;
   PlanCacheStats stats_;

@@ -138,16 +138,14 @@ void Broker::decide_and_dispatch(ServeRequest req, TimePoint released,
   ctx.hour = static_cast<int>(
       (now.since_origin().count_micros() / 3'600'000'000LL) % 24);
 
-  // The cache hands back a pointer that the next mutation invalidates, so
-  // the execution path owns an immutable copy.
+  // Plans are immutable and shared: a cache hit hands the execution path a
+  // reference to the cached plan, which outlives any later eviction.
   std::shared_ptr<const core::DeploymentPlan> plan;
   bool hit = false;
   bool heuristic = false;
   if (cfg_.cache_enabled) {
-    if (const core::DeploymentPlan* found = cache_.lookup(ctx, now)) {
-      plan = std::make_shared<const core::DeploymentPlan>(*found);  // ntco-lint: allow(R6) plan snapshot must outlive async dispatch; the cache row it copies is mutation-invalidated
-      hit = true;
-    }
+    plan = cache_.lookup(ctx, now);
+    hit = plan != nullptr;
   }
   if (plan == nullptr && cfg_.two_stage_enabled) {
     // Stage 1: answer the miss *now* with the cheap heuristic placement
@@ -167,8 +165,8 @@ void Broker::decide_and_dispatch(ServeRequest req, TimePoint released,
   }
   if (plan == nullptr) {
     core::DeploymentPlan fresh = controller_.prepare(g, partitioner_, env);
-    if (cfg_.cache_enabled) cache_.insert(ctx, fresh, now);  // ntco-lint: allow(R6) cache-miss path only: one insert per newly planned workload
     plan = std::make_shared<const core::DeploymentPlan>(std::move(fresh));  // ntco-lint: allow(R6) plan snapshot must outlive async dispatch
+    if (cfg_.cache_enabled) cache_.insert(ctx, plan, now);  // ntco-lint: allow(R6) cache-miss path only: one insert per newly planned workload
   }
 
   const Duration decision =
@@ -285,7 +283,10 @@ void Broker::schedule_exact_resolve(const DecisionContext& ctx,
       obs::emit(trace_, now, "broker.twostage.resolve",
                 {{"workload", std::string_view(ctx.workload)},
                  {"agreed", agreed}});
-    cache_.insert(ctx, std::move(exact), now);  // ntco-lint: allow(R6) stage-2 publication: one cache write per resolved bucket, off the serving path
+    // ntco-lint: allow(R6) stage-2 publication: one cache write per resolved bucket, off the serving path
+    cache_.insert(ctx, std::make_shared<const core::DeploymentPlan>(
+                           std::move(exact)),
+                  now);
   });
 }
 

@@ -79,8 +79,8 @@ bool PlanCache::within_hysteresis(const DecisionContext& ctx,
          std::abs(ctx.battery - planned.battery) <= cfg_.battery_hysteresis;
 }
 
-const core::DeploymentPlan* PlanCache::lookup(const DecisionContext& ctx,
-                                              TimePoint now) {
+std::shared_ptr<const core::DeploymentPlan> PlanCache::lookup(
+    const DecisionContext& ctx, TimePoint now) {
   const PlanKey exact = quantize(ctx, cfg_);
 
   // Probes a single key; erases (and counts) an expired occupant. Returns
@@ -105,7 +105,7 @@ const core::DeploymentPlan* PlanCache::lookup(const DecisionContext& ctx,
       obs::emit(trace_, now, "broker.plan_cache_hit",
                 {{"workload", std::string_view(ctx.workload)},
                  {"hysteresis", false}});
-    return &e->plan;
+    return e->plan;
   }
 
   // Bucket-boundary hysteresis: a context that just crossed into an empty
@@ -136,7 +136,7 @@ const core::DeploymentPlan* PlanCache::lookup(const DecisionContext& ctx,
       obs::emit(trace_, now, "broker.plan_cache_hit",
                 {{"workload", std::string_view(ctx.workload)},
                  {"hysteresis", true}});
-    return &e->plan;
+    return e->plan;
   }
 
   ++stats_.misses;
@@ -147,8 +147,10 @@ const core::DeploymentPlan* PlanCache::lookup(const DecisionContext& ctx,
   return nullptr;
 }
 
-void PlanCache::insert(const DecisionContext& ctx, core::DeploymentPlan plan,
+void PlanCache::insert(const DecisionContext& ctx,
+                       std::shared_ptr<const core::DeploymentPlan> plan,
                        TimePoint now) {
+  NTCO_EXPECTS(plan != nullptr);
   const PlanKey key = quantize(ctx, cfg_);
   Entry& e = entries_[key];
   e.plan = std::move(plan);

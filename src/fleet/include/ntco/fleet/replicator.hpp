@@ -11,7 +11,6 @@
 #include "ntco/common/contracts.hpp"
 #include "ntco/common/rng.hpp"
 #include "ntco/dataplane/engine.hpp"
-#include "ntco/fleet/thread_pool.hpp"
 
 /// \file replicator.hpp
 /// Deterministic sharded replica execution — the fleet engine's core.
@@ -38,6 +37,11 @@
 /// between a shard's writes and the reducing thread's reads.
 
 namespace ntco::fleet {
+
+/// Worker count the fleet uses when none is given explicitly: the
+/// NTCO_THREADS environment variable when set to a positive integer,
+/// otherwise std::thread::hardware_concurrency() (minimum 1).
+[[nodiscard]] std::size_t default_thread_count();
 
 /// Everything a replica body receives. `rng` is the shard's private
 /// substream — a pure function of (seed, shard), so results cannot depend
@@ -88,24 +92,12 @@ class Replicator {
   [[nodiscard]] auto map(std::size_t shards, Fn&& body)
       -> std::vector<std::decay_t<std::invoke_result_t<Fn&, ShardContext&>>> {
     using R = std::decay_t<std::invoke_result_t<Fn&, ShardContext&>>;
-    NTCO_EXPECTS(shards > 0);
-    std::vector<std::optional<R>> slots(shards);
-    std::vector<std::exception_ptr> errors(shards);
-    auto run_shard = [&](std::size_t s) {
-      ShardContext ctx{s, shards, Rng::stream(seed_, s)};
-      try {
-        slots[s].emplace(body(ctx));
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-    };
-    dispatch(shards, run_shard, nullptr, nullptr);
-    for (std::size_t s = 0; s < shards; ++s)
-      if (errors[s]) std::rethrow_exception(errors[s]);
     std::vector<R> out;
     out.reserve(shards);
-    for (auto& slot : slots) out.push_back(std::move(*slot));
-    return out;
+    return reduce(shards, std::move(out), std::forward<Fn>(body),
+                  [](std::vector<R>& acc, R&& r, std::size_t) {
+                    acc.push_back(std::move(r));
+                  });
   }
 
   /// map() with a streaming in-shard-order fold: `merge(acc, result, s)`

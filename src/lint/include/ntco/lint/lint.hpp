@@ -15,20 +15,19 @@
 /// declares and a file uses (brace/namespace tracking separates
 /// namespace-scope declarations from locals), the string literals reaching
 /// `obs` telemetry calls, hot-path region markers, suppression directives,
-/// and the file-local rule findings. Phase-1 results are cacheable by
-/// content hash (see `run` with a cache path), so warm full-tree runs stay
-/// well under a second.
+/// and the file-local rule findings. Every run indexes every file; a cold
+/// full-tree run takes a fraction of a second.
 ///
 /// **Phase 2** runs the cross-file rules over the combined index and
 /// applies suppressions uniformly:
 ///
 ///   R1  no nondeterminism sources (`std::random_device`, `rand`, wall
 ///       clocks, `getenv`, raw `<random>` engines) outside a small
-///       sanctioned allowlist (rng.hpp, thread_pool.cpp, bench harness),
+///       sanctioned allowlist (rng.hpp, thread_count.cpp, bench harness),
 ///   R2  no *iteration* over `std::unordered_map` / `std::unordered_set`
 ///       (range-for, or `.begin()` inside a `for` header) — declaration and
 ///       point lookup stay legal; sorted extraction stays legal,
-///   R3  no threading primitives outside `src/fleet/`,
+///   R3  no threading primitives outside `src/fleet/` and `src/dataplane/`,
 ///   R4  module layering: every `#include <ntco/MOD/...>` edge must be a
 ///       forward edge of the declared module DAG (reachability over direct
 ///       deps); unknown modules and back-edges are rejected, and a cyclic
@@ -67,15 +66,12 @@
 /// in the report. A suppression that silences nothing is *stale* and
 /// reported separately (`Report::stale_suppressions`; `--fail-stale` in the
 /// CLI turns it into a gate), so dead allow-comments cannot accumulate.
+/// These inline suppressions are the only record of accepted debt.
 /// Hot-path regions use the same marker:
 ///
 ///   // ntco-lint: hotpath begin
 ///   ...allocation-free code...
 ///   // ntco-lint: hotpath end
-///
-/// A checked-in baseline (tools/lint_baseline.txt) lets pre-existing debt
-/// fail closed only when it grows: baseline entries are line-number-free
-/// fingerprints, so unrelated edits do not churn it.
 ///
 /// The analyzer is token/regex-plus-context, not a real C++ front end: it
 /// strips comments and string/char literals, then pattern-matches with
@@ -96,8 +92,8 @@ struct Diagnostic {
   int line = 0;      ///< 1-based
   Rule rule = Rule::R1;
   std::string message;
-  /// Line-number-free identity `file|rule|detail`, used by the baseline so
-  /// unrelated edits (which shift line numbers) do not invalidate entries.
+  /// Line-number-free identity `file|rule|detail`: the SARIF
+  /// `partialFingerprints` value, stable across edits that shift lines.
   std::string fingerprint;
 };
 
@@ -121,7 +117,7 @@ struct Config {
   /// times itself with steady_clock and reads NTCO_BENCH_OUT).
   std::vector<std::string> r1_allow{
       "src/common/include/ntco/common/rng.hpp",
-      "src/fleet/src/thread_pool.cpp",
+      "src/fleet/src/thread_count.cpp",
       "bench/",
   };
   /// R3 sanctioned prefixes: the only concurrent code in the repo.
@@ -155,8 +151,6 @@ struct Report {
   /// rule no longer fires at their site.
   std::vector<Suppression> stale_suppressions;
   std::size_t files_scanned = 0;
-  std::size_t cache_hits = 0;    ///< phase-1 indexes reused from the cache
-  std::size_t cache_misses = 0;  ///< files (re)analyzed this run
 };
 
 /// Analyzes one file's `contents` as `rel_path` under `cfg`, appending to
@@ -168,43 +162,17 @@ void analyze_source(const Config& cfg, const std::string& rel_path,
 
 /// Walks cfg.roots under cfg.root (deterministic path order), indexes every
 /// C++ source file (.hpp/.cpp/.h/.cc/.hxx/.cxx), and runs both phases.
-/// With a non-empty `cache_path`, phase-1 indexes are reused for files
-/// whose content hash (and the config hash) match the cache, and the cache
-/// is rewritten after the run.
-[[nodiscard]] Report run(const Config& cfg, const std::string& cache_path = "");
-
-/// Multiset of diagnostic fingerprints. Text format: one fingerprint per
-/// line; blank lines and '#' comments ignored; duplicate lines absorb that
-/// many matching diagnostics.
-class Baseline {
- public:
-  [[nodiscard]] static Baseline from_string(const std::string& text);
-  [[nodiscard]] static Baseline from_file(const std::string& path);
-
-  /// Diagnostics not absorbed by the baseline. Each baseline entry absorbs
-  /// at most its multiplicity; anything beyond that is new debt.
-  [[nodiscard]] std::vector<Diagnostic> filter_new(
-      const std::vector<Diagnostic>& all) const;
-
-  /// Serializes diagnostics as baseline text (sorted, with multiplicity).
-  [[nodiscard]] static std::string to_text(const std::vector<Diagnostic>& all);
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  std::map<std::string, int> counts_;
-};
+/// Throws std::runtime_error if a configured root is neither a file nor a
+/// directory, so a mistyped path never reads as a clean tree.
+[[nodiscard]] Report run(const Config& cfg);
 
 /// Machine-readable report: scanned/diagnostic/suppression counts, every
-/// diagnostic (with its baseline status), every suppression, and the stale
-/// suppressions.
-[[nodiscard]] std::string to_json(const Report& report,
-                                  const std::vector<Diagnostic>& fresh);
+/// diagnostic, every suppression, and the stale suppressions.
+[[nodiscard]] std::string to_json(const Report& report);
 
-/// SARIF 2.1.0 report (one run, rules R1-R9 + sup). Fresh diagnostics are
-/// level "error", baselined ones "note" — CI uploaders can render both.
-[[nodiscard]] std::string to_sarif(const Report& report,
-                                   const std::vector<Diagnostic>& fresh);
+/// SARIF 2.1.0 report (one run, rules R1-R9 + sup). Every diagnostic is
+/// level "error", with its fingerprint as `partialFingerprints`.
+[[nodiscard]] std::string to_sarif(const Report& report);
 
 // ---------------------------------------------------------------------------
 // Telemetry-name registry (R7).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -12,7 +11,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 namespace ntco::lint {
@@ -39,14 +37,6 @@ bool starts_with_any(const std::string& path,
   for (const auto& p : prefixes)
     if (path.rfind(p, 0) == 0) return true;
   return false;
-}
-
-std::uint64_t fnv1a(const std::string& s, std::uint64_t h = 14695981039346656037ULL) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 // ---------------------------------------------------------------------------
@@ -622,7 +612,7 @@ void parse_directives(const std::vector<std::string>& raw,
 }
 
 // ---------------------------------------------------------------------------
-// The per-file index: everything phase 2 needs, cheap to cache.
+// The per-file index: everything phase 2 needs.
 
 struct IncludeEdge {
   int line = 0;
@@ -644,10 +634,8 @@ struct ObsUse {
 struct FileIndex {
   std::string rel_path;
   std::string module;
-  std::uint64_t hash = 0;
   std::vector<Finding> local;  // R1 R2 R3 R5 R6 R9 + Sup findings
   std::vector<Directive> dirs;
-  std::vector<HotMark> marks;  // kept for cache round-tripping only
   std::vector<IncludeEdge> includes;
   std::vector<std::string> declared;  // namespace-scope symbols (headers)
   std::vector<std::string> used;      // sorted unique identifiers used
@@ -1089,21 +1077,21 @@ FileIndex index_file(const Config& cfg, const std::string& rel_path,
   FileIndex ix;
   ix.rel_path = rel_path;
   ix.module = module_of(rel_path);
-  ix.hash = fnv1a(contents);
 
   const std::vector<std::string> raw = split_lines(contents);
   const std::vector<std::string> code = strip_code(raw);
   const std::set<std::string> uvars = unordered_vars(code);
 
   std::vector<Finding>& findings = ix.local;
-  parse_directives(raw, &ix.dirs, &ix.marks, &findings);
+  std::vector<HotMark> marks;
+  parse_directives(raw, &ix.dirs, &marks, &findings);
 
   // Hot-path regions: whole-file listing, or begin/end marker spans.
   const bool file_hot = starts_with_any(rel_path, cfg.hotpath_files);
   std::vector<std::pair<int, int>> hot_regions;
   {
     int open_at = 0;
-    for (const HotMark& m : ix.marks) {
+    for (const HotMark& m : marks) {
       if (m.begin) {
         if (open_at == 0) open_at = m.line;
       } else if (open_at != 0) {
@@ -1559,162 +1547,6 @@ void phase2(const Config& cfg,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Phase-1 cache: one text file holding every FileIndex, keyed by content
-// hash and a config hash. Sound because phase 2 (cheap) always reruns over
-// the loaded indexes.
-
-std::uint64_t config_hash(const Config& cfg) {
-  std::uint64_t h = 14695981039346656037ULL;
-  const auto mix = [&h](const std::string& s) { h = fnv1a(s + "\x1f", h); };
-  mix("v2");
-  for (const auto& s : cfg.roots) mix(s);
-  for (const auto& s : cfg.exclude) mix(s);
-  for (const auto& s : cfg.r1_allow) mix(s);
-  for (const auto& s : cfg.r3_allow) mix(s);
-  for (const auto& [m, deps] : cfg.dag) {
-    mix(m);
-    for (const auto& d : deps) mix(d);
-  }
-  for (const auto& s : cfg.hotpath_files) mix(s);
-  mix(cfg.names_registry);
-  for (const auto& s : cfg.r7_scope) mix(s);
-  for (const auto& s : cfg.r8_scope) mix(s);
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-void save_cache(const std::string& path, std::uint64_t cfg_hash,
-                const std::vector<FileIndex>& files) {
-  std::ofstream outf(path, std::ios::binary | std::ios::trunc);
-  if (!outf) return;  // cache is best-effort
-  outf << "ntco-lint-cache v2 " << hex64(cfg_hash) << "\n";
-  for (const FileIndex& ix : files) {
-    outf << "F " << hex64(ix.hash) << ' ' << ix.module << ' ' << ix.rel_path
-         << "\n";
-    for (const Finding& f : ix.local)
-      outf << "L " << f.line << ' ' << static_cast<int>(f.rule) << '\t'
-           << f.detail << '\t' << f.message << "\n";
-    for (const Directive& d : ix.dirs)
-      outf << "D " << d.line << '\t' << d.rules_text << '\t' << d.reason
-           << "\n";
-    for (const HotMark& m : ix.marks)
-      outf << "H " << m.line << ' ' << (m.begin ? 1 : 0) << "\n";
-    for (const IncludeEdge& e : ix.includes)
-      outf << "I " << e.line << ' ' << e.path << "\n";
-    for (const std::string& s : ix.declared) outf << "S " << s << "\n";
-    for (const std::string& s : ix.used) outf << "U " << s << "\n";
-    for (const QualUse& q : ix.qualified)
-      outf << "Q " << q.line << ' ' << q.ns << ' ' << q.sym << "\n";
-    for (const ObsUse& u : ix.obs_uses)
-      outf << "O " << u.line << ' ' << u.api << '\t' << u.name << "\n";
-    outf << "E\n";
-  }
-}
-
-std::map<std::string, FileIndex> load_cache(const std::string& path,
-                                            std::uint64_t cfg_hash) {
-  std::map<std::string, FileIndex> out;
-  std::ifstream inf(path, std::ios::binary);
-  if (!inf) return out;
-  std::string line;
-  if (!std::getline(inf, line) ||
-      line != "ntco-lint-cache v2 " + hex64(cfg_hash))
-    return out;  // different config or format: full re-index
-  FileIndex cur;
-  bool open = false;
-  const auto split_tabs = [](const std::string& s) {
-    std::vector<std::string> parts;
-    std::size_t b = 0;
-    for (;;) {
-      const std::size_t t = s.find('\t', b);
-      parts.push_back(s.substr(b, t == std::string::npos ? t : t - b));
-      if (t == std::string::npos) break;
-      b = t + 1;
-    }
-    return parts;
-  };
-  while (std::getline(inf, line)) {
-    if (line.empty()) continue;
-    const char tag = line[0];
-    const std::string rest = line.size() > 2 ? line.substr(2) : "";
-    if (tag == 'F') {
-      std::istringstream ss(rest);
-      std::string hash_s, module, rel;
-      ss >> hash_s >> module;
-      std::getline(ss, rel);
-      cur = FileIndex{};
-      cur.hash = std::stoull(hash_s, nullptr, 16);
-      cur.module = module;
-      cur.rel_path = trim(rel);
-      open = true;
-    } else if (!open) {
-      continue;
-    } else if (tag == 'E') {
-      out.emplace(cur.rel_path, std::move(cur));
-      cur = FileIndex{};
-      open = false;
-    } else if (tag == 'L') {
-      const auto parts = split_tabs(rest);
-      if (parts.size() != 3) continue;
-      std::istringstream ss(parts[0]);
-      int ln = 0, rl = 0;
-      ss >> ln >> rl;
-      if (rl < 0 || rl > static_cast<int>(Rule::Sup)) continue;
-      cur.local.push_back({ln, static_cast<Rule>(rl), parts[2], parts[1]});
-    } else if (tag == 'D') {
-      const auto parts = split_tabs(rest);
-      if (parts.size() != 3) continue;
-      Directive d;
-      d.line = std::atoi(parts[0].c_str());
-      d.rules_text = parts[1];
-      d.reason = parts[2];
-      std::stringstream ss(d.rules_text);
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        bool ok = false;
-        const Rule r = parse_rule(trim(item), &ok);
-        if (ok) d.rules.insert(r);
-      }
-      cur.dirs.push_back(std::move(d));
-    } else if (tag == 'H') {
-      std::istringstream ss(rest);
-      int ln = 0, b = 0;
-      ss >> ln >> b;
-      cur.marks.push_back({ln, b != 0});
-    } else if (tag == 'I') {
-      std::istringstream ss(rest);
-      IncludeEdge e;
-      ss >> e.line >> e.path;
-      cur.includes.push_back(std::move(e));
-    } else if (tag == 'S') {
-      cur.declared.push_back(rest);
-    } else if (tag == 'U') {
-      cur.used.push_back(rest);
-    } else if (tag == 'Q') {
-      std::istringstream ss(rest);
-      QualUse q;
-      ss >> q.line >> q.ns >> q.sym;
-      cur.qualified.push_back(std::move(q));
-    } else if (tag == 'O') {
-      const auto parts = split_tabs(rest);
-      if (parts.size() != 2) continue;
-      std::istringstream ss(parts[0]);
-      ObsUse u;
-      ss >> u.line >> u.api;
-      u.name = parts[1];
-      cur.obs_uses.push_back(std::move(u));
-    }
-  }
-  return out;
-}
-
 std::string json_escape(const std::string& s) {
   std::string o;
   o.reserve(s.size() + 8);
@@ -1807,7 +1639,7 @@ void analyze_source(const Config& cfg, const std::string& rel_path,
   ++out.files_scanned;
 }
 
-Report run(const Config& cfg, const std::string& cache_path) {
+Report run(const Config& cfg) {
   const auto closure = dag_closure(cfg.dag);
   Report rep;
 
@@ -1823,13 +1655,13 @@ Report run(const Config& cfg, const std::string& cache_path) {
         if (e.is_regular_file() &&
             exts.count(e.path().extension().string()) != 0)
           files.push_back(e.path());
+    } else {
+      // A mistyped root must not pass as a clean tree of zero files.
+      throw std::runtime_error("scan root does not exist: " +
+                               base.generic_string());
     }
   }
   std::sort(files.begin(), files.end());  // deterministic diagnostic order
-
-  const std::uint64_t cfg_hash = config_hash(cfg);
-  std::map<std::string, FileIndex> cached;
-  if (!cache_path.empty()) cached = load_cache(cache_path, cfg_hash);
 
   std::vector<FileIndex> index;
   index.reserve(files.size());
@@ -1840,109 +1672,29 @@ Report run(const Config& cfg, const std::string& cache_path) {
     if (!in) continue;
     std::ostringstream ss;
     ss << in.rdbuf();
-    const std::string contents = ss.str();
-    const std::uint64_t h = fnv1a(contents);
-    auto hit = cached.find(rel);
-    if (hit != cached.end() && hit->second.hash == h) {
-      index.push_back(std::move(hit->second));
-      ++rep.cache_hits;
-    } else {
-      index.push_back(index_file(cfg, rel, contents));
-      ++rep.cache_misses;
-    }
+    index.push_back(index_file(cfg, rel, ss.str()));
     ++rep.files_scanned;
   }
 
   phase2(cfg, closure, index, rep);
-  if (!cache_path.empty()) save_cache(cache_path, cfg_hash, index);
   return rep;
 }
 
-Baseline Baseline::from_string(const std::string& text) {
-  Baseline b;
-  for (const std::string& line : split_lines(text)) {
-    const std::string t = trim(line);
-    if (t.empty() || t[0] == '#') continue;
-    ++b.counts_[t];
-  }
-  return b;
-}
-
-Baseline Baseline::from_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read baseline file: " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return from_string(ss.str());
-}
-
-std::vector<Diagnostic> Baseline::filter_new(
-    const std::vector<Diagnostic>& all) const {
-  std::map<std::string, int> budget = counts_;
-  std::vector<Diagnostic> fresh;
-  for (const Diagnostic& d : all) {
-    auto it = budget.find(d.fingerprint);
-    if (it != budget.end() && it->second > 0)
-      --it->second;  // absorbed by pre-existing debt
-    else
-      fresh.push_back(d);
-  }
-  return fresh;
-}
-
-std::string Baseline::to_text(const std::vector<Diagnostic>& all) {
-  std::vector<std::string> fps;
-  fps.reserve(all.size());
-  for (const Diagnostic& d : all) fps.push_back(d.fingerprint);
-  std::sort(fps.begin(), fps.end());
-  std::string out =
-      "# ntco-lint baseline: one fingerprint (file|rule|detail) per line.\n"
-      "# Entries absorb matching pre-existing diagnostics; new debt fails.\n"
-      "# Regenerate with: ntco-lint --write-baseline <this file>\n";
-  for (const auto& f : fps) {
-    out += f;
-    out += '\n';
-  }
-  return out;
-}
-
-std::size_t Baseline::size() const {
-  std::size_t n = 0;
-  for (const auto& [fp, c] : counts_) n += static_cast<std::size_t>(c);
-  return n;
-}
-
-std::string to_json(const Report& report, const std::vector<Diagnostic>& fresh) {
-  // Identify freshness positionally by fingerprint multiset membership.
-  std::map<std::string, int> fresh_counts;
-  for (const Diagnostic& d : fresh) ++fresh_counts[d.fingerprint];
-
+std::string to_json(const Report& report) {
   std::ostringstream o;
   o << "{\n";
   o << "  \"files_scanned\": " << report.files_scanned << ",\n";
   o << "  \"diagnostics_total\": " << report.diagnostics.size() << ",\n";
-  o << "  \"diagnostics_new\": " << fresh.size() << ",\n";
-  o << "  \"diagnostics_baselined\": "
-    << report.diagnostics.size() - fresh.size() << ",\n";
   o << "  \"suppressions\": " << report.suppressions.size() << ",\n";
   o << "  \"stale_suppressions\": " << report.stale_suppressions.size()
     << ",\n";
-  o << "  \"cache_hits\": " << report.cache_hits << ",\n";
-  o << "  \"cache_misses\": " << report.cache_misses << ",\n";
   o << "  \"diagnostics\": [";
   for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
     const Diagnostic& d = report.diagnostics[i];
-    bool is_new = false;
-    auto it = fresh_counts.find(d.fingerprint);
-    if (it != fresh_counts.end() && it->second > 0) {
-      --it->second;
-      is_new = true;
-    }
     o << (i == 0 ? "\n" : ",\n");
     o << "    {\"file\": \"" << json_escape(d.file) << "\", \"line\": "
       << d.line << ", \"rule\": \"" << rule_name(d.rule)
-      << "\", \"new\": " << (is_new ? "true" : "false")
-      << ", \"fingerprint\": \"" << json_escape(d.fingerprint)
+      << "\", \"fingerprint\": \"" << json_escape(d.fingerprint)
       << "\", \"message\": \"" << json_escape(d.message) << "\"}";
   }
   o << (report.diagnostics.empty() ? "],\n" : "\n  ],\n");
@@ -1967,18 +1719,14 @@ std::string to_json(const Report& report, const std::vector<Diagnostic>& fresh) 
   return o.str();
 }
 
-std::string to_sarif(const Report& report,
-                     const std::vector<Diagnostic>& fresh) {
-  std::map<std::string, int> fresh_counts;
-  for (const Diagnostic& d : fresh) ++fresh_counts[d.fingerprint];
-
+std::string to_sarif(const Report& report) {
   static const struct {
     const char* id;
     const char* desc;
   } kRules[] = {
       {"R1", "No nondeterminism sources outside the sanctioned allowlist"},
       {"R2", "No iteration over unordered containers"},
-      {"R3", "No threading primitives outside src/fleet/"},
+      {"R3", "No threading primitives outside src/fleet/ and src/dataplane/"},
       {"R4", "Include edges must follow the declared module DAG"},
       {"R5", "No += accumulation of unordered-container lookups"},
       {"R6", "No allocation inside hot-path regions"},
@@ -2012,16 +1760,10 @@ std::string to_sarif(const Report& report,
     << "      \"results\": [";
   for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
     const Diagnostic& d = report.diagnostics[i];
-    bool is_new = false;
-    auto it = fresh_counts.find(d.fingerprint);
-    if (it != fresh_counts.end() && it->second > 0) {
-      --it->second;
-      is_new = true;
-    }
     o << (i == 0 ? "\n" : ",\n");
-    o << "        {\"ruleId\": \"" << rule_name(d.rule) << "\", \"level\": \""
-      << (is_new ? "error" : "note")
-      << "\", \"message\": {\"text\": \"" << json_escape(d.message)
+    o << "        {\"ruleId\": \"" << rule_name(d.rule)
+      << "\", \"level\": \"error\", \"message\": {\"text\": \""
+      << json_escape(d.message)
       << "\"}, \"partialFingerprints\": {\"ntcoLint/v1\": \""
       << json_escape(d.fingerprint)
       << "\"}, \"locations\": [{\"physicalLocation\": "

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,10 +24,10 @@ namespace {
 // ---------------------------------------------------------------- PlanCache
 
 /// A recognisable plan: unit tests only need identity, not deployability.
-core::DeploymentPlan plan_with(Duration tag) {
+std::shared_ptr<const core::DeploymentPlan> plan_with(Duration tag) {
   core::DeploymentPlan p;
   p.predicted.latency = tag;
-  return p;
+  return std::make_shared<const core::DeploymentPlan>(std::move(p));
 }
 
 DecisionContext ctx_with(std::string workload, double mbps,
@@ -48,7 +49,7 @@ TEST(BrokerPlanCache, MissThenInsertThenHit) {
 
   EXPECT_EQ(cache.lookup(ctx, t0), nullptr);
   cache.insert(ctx, plan_with(Duration::seconds(7)), t0);
-  const core::DeploymentPlan* p = cache.lookup(ctx, t0);
+  const auto p = cache.lookup(ctx, t0);
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->predicted.latency, Duration::seconds(7));
   EXPECT_EQ(cache.stats().misses, 1u);

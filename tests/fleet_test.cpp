@@ -2,17 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ntco/common/error.hpp"
 #include "ntco/fleet/sweep.hpp"
-#include "ntco/fleet/thread_pool.hpp"
 #include "ntco/obs/metrics.hpp"
 #include "ntco/sim/simulator.hpp"
 #include "ntco/stats/percentile.hpp"
@@ -21,48 +17,7 @@ namespace ntco::fleet {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool.
-
-TEST(FleetThreadPool, RunsEverySubmittedTask) {
-  // ntco-lint: allow(R3) exercising the fleet ThreadPool requires an atomic observed from pool workers
-  std::atomic<int> ran{0};
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(FleetThreadPool, WaitIdleWaitsForRunningTasks) {
-  // ntco-lint: allow(R3) cross-thread completion flag for the pool under test
-  std::atomic<bool> done{false};
-  ThreadPool pool(2);
-  pool.submit([&done] {
-    // ntco-lint: allow(R3) deliberate in-task delay so wait_idle() has something to wait for
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    done.store(true);
-  });
-  pool.wait_idle();
-  EXPECT_TRUE(done.load());
-}
-
-TEST(FleetThreadPool, DrainsQueueOnDestruction) {
-  // ntco-lint: allow(R3) counts task executions across pool workers during teardown
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 10; ++i)
-      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }  // destructor joins after the queue drains
-  EXPECT_EQ(ran.load(), 10);
-}
-
-TEST(FleetThreadPool, ContractsRejectInvalidUse) {
-  EXPECT_THROW(ThreadPool(0), ContractViolation);
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.submit(nullptr), ContractViolation);
-}
+// Worker-count probe (NTCO_THREADS, else hardware concurrency).
 
 TEST(FleetThreadPool, DefaultThreadCountIsPositive) {
   EXPECT_GE(default_thread_count(), 1u);

@@ -5,13 +5,12 @@
 #      ntco-lint target — seconds, not minutes
 #   2. run ntco-lint, the static determinism & layering gate (rules R1-R9,
 #      see DESIGN.md "Static analysis & determinism contract"): any
-#      diagnostic not absorbed by tools/lint_baseline.txt fails here,
-#      before the expensive builds — as does any stale suppression
-#      (--fail-stale). The phase-1 index cache makes repeat runs
-#      sub-second; JSON and SARIF reports land in the build dir
+#      unsuppressed diagnostic fails here, before the expensive builds —
+#      as does any stale suppression (--fail-stale). A full-tree run takes
+#      a fraction of a second; JSON and SARIF reports land in the build dir
 #   3. build everything else (tests, benches, examples)
-#   4. run the unit/integration suite (ctest; includes LintClean and
-#      LintSelfClean again so a local `ctest` run gets the same gates)
+#   4. run the unit/integration suite (ctest; includes LintClean again so a
+#      local `ctest` run gets the same gate)
 #   5. prove the fleet determinism contract end-to-end:
 #      bench_f5_scale_users, bench_f12_broker, bench_f13_fabric_contention,
 #      bench_f14_continuum, bench_f15_vehicular, and bench_f16_diurnal must
@@ -25,45 +24,47 @@
 #      beyond run-to-run jitter for these loops). Refresh a baseline by
 #      copying the build's JSON to the repo root after a deliberate
 #      kernel/fabric/ring change.
-#   7. rebuild under ThreadSanitizer and rerun the fleet, broker,
+#   7. run the repo benchmark's own tests (python3
+#      perfbench/test_perfbench.py): the perfbench binaries must build
+#      from this src/ and reproduce their t1 == t4 digests
+#   8. rebuild under ThreadSanitizer and rerun the fleet, broker,
 #      fabric-fleet, dataplane, and arrival-fleet suites (everything that
 #      exercises the worker pool or the lock-free rings) —
 #      ctest -R '^Fleet|^Broker|^FabricFleet|^Dataplane|^ArrivalFleet'
-#   8. rebuild under ASan + UBSan and rerun the whole suite
+#   9. rebuild under ASan + UBSan and rerun the whole suite
 #
 #   tools/ci.sh [build-dir]             (default: build-ci)
 #
-# Steps 7 and 8 use their own build trees (NTCO_SANITIZE is a build-wide
-# flag; ASan and TSan cannot share one). Set NTCO_CI_SKIP_SANITIZERS=1 to
-# stop after step 6 on machines where two extra builds are too slow.
+# Step 7 builds into <build-dir>/perfbench; steps 8 and 9 use their own
+# build trees (NTCO_SANITIZE is a build-wide flag; ASan and TSan cannot
+# share one). Set NTCO_CI_SKIP_SANITIZERS=1 to stop after step 7 on
+# machines where two extra builds are too slow.
 set -eu
 
 BUILD_DIR="${1:-build-ci}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-echo "== [1/8] configure (NTCO_WERROR=ON) + build ntco-lint =="
+echo "== [1/9] configure (NTCO_WERROR=ON) + build ntco-lint =="
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DNTCO_WERROR=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" --target ntco-lint -j "$JOBS"
 
-echo "== [2/8] ntco-lint: static determinism & layering gate =="
+echo "== [2/9] ntco-lint: static determinism & layering gate =="
 "$BUILD_DIR/tools/ntco-lint" \
   --root "$SRC_DIR" \
-  --baseline "$SRC_DIR/tools/lint_baseline.txt" \
-  --cache "$BUILD_DIR/ntco-lint-cache.txt" \
   --json-out "$BUILD_DIR/ntco-lint-report.json" \
   --sarif "$BUILD_DIR/ntco-lint.sarif" \
   --fail-stale
 
-echo "== [3/8] build everything =="
+echo "== [3/9] build everything =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
-echo "== [4/8] unit + integration tests =="
+echo "== [4/9] unit + integration tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
-echo "== [5/8] fleet determinism: F5 + F12-F16 artifacts at NTCO_THREADS=1 vs 8 =="
+echo "== [5/9] fleet determinism: F5 + F12-F16 artifacts at NTCO_THREADS=1 vs 8 =="
 for det_bench in bench_f5_scale_users bench_f12_broker bench_f13_fabric_contention bench_f14_continuum bench_f15_vehicular bench_f16_diurnal; do
   DET_DIR="$BUILD_DIR/fleet-determinism/$det_bench"
   rm -rf "$DET_DIR"
@@ -79,7 +80,7 @@ for det_bench in bench_f5_scale_users bench_f12_broker bench_f13_fabric_contenti
   echo "$det_bench: byte-identical across $(ls "$DET_DIR/t1" | wc -l) artifacts"
 done
 
-echo "== [6/8] kernel + fabric micro-benches vs checked-in baselines =="
+echo "== [6/9] kernel + fabric micro-benches vs checked-in baselines =="
 # gate_micro <bench-binary> <baseline.json> <gated loop>...
 gate_micro() {
   mb="$1"; baseline="$2"; shift 2
@@ -116,12 +117,16 @@ gate_micro bench_micro_fabric BENCH_micro_fabric.json \
 gate_micro bench_micro_ring BENCH_micro_ring.json \
   "BM_RingSinglePushPop/1024" "BM_RingBatchedPushPop/1024"
 
+echo "== [7/9] repo benchmark tests (perfbench) =="
+CARGO_TARGET_DIR="$(cd "$BUILD_DIR" && pwd)/perfbench" \
+  python3 "$SRC_DIR/perfbench/test_perfbench.py"
+
 if [ "${NTCO_CI_SKIP_SANITIZERS:-0}" = "1" ]; then
   echo "== sanitizer stages skipped (NTCO_CI_SKIP_SANITIZERS=1) =="
   exit 0
 fi
 
-echo "== [7/8] ThreadSanitizer: fleet + broker + continuum + dataplane + arrivals suites =="
+echo "== [8/9] ThreadSanitizer: fleet + broker + continuum + dataplane + arrivals suites =="
 cmake -B "$BUILD_DIR-tsan" -S "$SRC_DIR" \
   -DNTCO_SANITIZE=thread \
   -DNTCO_BUILD_BENCHMARKS=OFF -DNTCO_BUILD_EXAMPLES=OFF \
@@ -134,7 +139,7 @@ TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir "$BUILD_DIR-tsan" --output-on-failure \
   -R '^Fleet|^Broker|^FabricFleet|^Dataplane|^ArrivalFleet'
 
-echo "== [8/8] ASan + UBSan: full suite =="
+echo "== [9/9] ASan + UBSan: full suite =="
 "$SRC_DIR/tools/sanitize.sh" address "$BUILD_DIR-asan"
 
 echo "== CI green =="

@@ -1,7 +1,7 @@
-#include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,27 +12,26 @@
 /// gates in tools/ci.sh (artifact diffing) and tools/sanitize.sh
 /// (ASan/TSan). See DESIGN.md "Static analysis & determinism contract".
 ///
-///   ntco-lint [--root DIR] [--baseline FILE] [--json-out FILE]
-///             [--sarif FILE] [--cache FILE] [--fail-stale]
-///             [--write-baseline FILE] [--dump-names] [paths...]
+///   ntco-lint [--root DIR] [--json-out FILE] [--sarif FILE] [--fail-stale]
+///             [--dump-names] [paths...]
 ///
 /// Scans src/ bench/ tests/ examples/ under --root (or the given relative
-/// paths instead), prints `file:line: [Rn] message` for every diagnostic
-/// not absorbed by the baseline, and exits non-zero if any remain.
+/// paths instead), prints `file:line: [Rn] message` for every diagnostic,
+/// and exits non-zero if there is any. A scan root that does not exist is
+/// a configuration error (exit 2), never a clean run.
 
 namespace {
 
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0
-      << " [--root DIR] [--baseline FILE] [--json-out FILE]\n"
-         "       [--sarif FILE] [--cache FILE] [--fail-stale]\n"
-         "       [--write-baseline FILE] [--dump-names] [paths...]\n"
+      << " [--root DIR] [--json-out FILE] [--sarif FILE] [--fail-stale]\n"
+         "       [--dump-names] [paths...]\n"
          "\n"
          "Determinism, layering & hot-path lint for the ntco tree. Rules:\n"
          "  R1  nondeterminism sources outside sanctioned files\n"
          "  R2  iteration over unordered containers\n"
-         "  R3  threading primitives outside src/fleet/\n"
+         "  R3  threading primitives outside src/fleet/ and src/dataplane/\n"
          "  R4  module-layering back-edges (declared DAG over ntco includes)\n"
          "  R5  += accumulation of unordered-container lookups\n"
          "  R6  allocation inside hot-path regions (tools/lint_hotpath.txt\n"
@@ -42,11 +41,11 @@ int usage(const char* argv0) {
          "  R8  stale includes / missing direct includes (IWYU-lite)\n"
          "  R9  kernel handler lambdas over the 48-byte InlineFunction SBO\n"
          "\n"
-         "  --cache FILE   reuse per-file indexes across runs (content hash)\n"
-         "  --sarif FILE   write a SARIF 2.1.0 report next to the JSON one\n"
-         "  --fail-stale   exit 1 if any allow() directive silenced nothing\n"
-         "  --dump-names   print DESIGN.md markdown tables from the name\n"
-         "                 registry and exit\n"
+         "  --json-out FILE  write the JSON report\n"
+         "  --sarif FILE     write a SARIF 2.1.0 report\n"
+         "  --fail-stale     exit 1 if any allow() directive silenced nothing\n"
+         "  --dump-names     print DESIGN.md markdown tables from the name\n"
+         "                   registry and exit\n"
          "\n"
          "Suppress inline (reason mandatory, counted in the report):\n"
          "  code();  " /* keep the directive non-contiguous in this binary's
@@ -54,19 +53,23 @@ int usage(const char* argv0) {
       << "// ntco-"
       << "lint: allow(R2) why this is order-insensitive\n"
          "\n"
-         "Exit status: 0 clean, 1 new diagnostics, 2 usage/config error.\n";
+         "Exit status: 0 clean, 1 diagnostics (or stale suppressions with\n"
+         "--fail-stale), 2 usage/config error (including a missing root).\n";
   return 2;
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) throw std::runtime_error("cannot write " + path);
+  out << text;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string baseline_path;
   std::string json_out;
   std::string sarif_out;
-  std::string cache_path;
-  std::string write_baseline;
   bool fail_stale = false;
   bool dump_names = false;
   std::vector<std::string> roots;
@@ -79,20 +82,14 @@ int main(int argc, char** argv) {
     };
     if (arg == "--root") {
       if (const char* v = next()) root = v; else return usage(argv[0]);
-    } else if (arg == "--baseline") {
-      if (const char* v = next()) baseline_path = v; else return usage(argv[0]);
     } else if (arg == "--json-out") {
       if (const char* v = next()) json_out = v; else return usage(argv[0]);
     } else if (arg == "--sarif") {
       if (const char* v = next()) sarif_out = v; else return usage(argv[0]);
-    } else if (arg == "--cache") {
-      if (const char* v = next()) cache_path = v; else return usage(argv[0]);
     } else if (arg == "--fail-stale") {
       fail_stale = true;
     } else if (arg == "--dump-names") {
       dump_names = true;
-    } else if (arg == "--write-baseline") {
-      if (const char* v = next()) write_baseline = v; else return usage(argv[0]);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -120,48 +117,14 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const ntco::lint::Report report = ntco::lint::run(cfg, cache_path);
+    const ntco::lint::Report report = ntco::lint::run(cfg);
 
-    ntco::lint::Baseline baseline;
-    if (!baseline_path.empty())
-      baseline = ntco::lint::Baseline::from_file(baseline_path);
-    const std::vector<ntco::lint::Diagnostic> fresh =
-        baseline.filter_new(report.diagnostics);
-
-    for (const auto& d : fresh)
+    for (const auto& d : report.diagnostics)
       std::cout << d.file << ":" << d.line << ": ["
                 << ntco::lint::rule_name(d.rule) << "] " << d.message << "\n";
 
-    if (!write_baseline.empty()) {
-      std::ofstream out(write_baseline, std::ios::binary);
-      if (!out) {
-        std::cerr << "ntco-lint: cannot write baseline " << write_baseline
-                  << "\n";
-        return 2;
-      }
-      out << ntco::lint::Baseline::to_text(report.diagnostics);
-      std::cout << "ntco-lint: wrote baseline with "
-                << report.diagnostics.size() << " entries to "
-                << write_baseline << "\n";
-    }
-
-    if (!json_out.empty()) {
-      std::ofstream out(json_out, std::ios::binary);
-      if (!out) {
-        std::cerr << "ntco-lint: cannot write report " << json_out << "\n";
-        return 2;
-      }
-      out << ntco::lint::to_json(report, fresh);
-    }
-
-    if (!sarif_out.empty()) {
-      std::ofstream out(sarif_out, std::ios::binary);
-      if (!out) {
-        std::cerr << "ntco-lint: cannot write SARIF " << sarif_out << "\n";
-        return 2;
-      }
-      out << ntco::lint::to_sarif(report, fresh);
-    }
+    if (!json_out.empty()) write_file(json_out, ntco::lint::to_json(report));
+    if (!sarif_out.empty()) write_file(sarif_out, ntco::lint::to_sarif(report));
 
     if (fail_stale) {
       for (const auto& s : report.stale_suppressions)
@@ -169,14 +132,11 @@ int main(int argc, char** argv) {
                   << s.rules << ") — its rule no longer fires here\n";
     }
 
-    std::cout << "ntco-lint: " << report.files_scanned << " files ("
-              << report.cache_hits << " cached), "
-              << report.diagnostics.size() << " diagnostics ("
-              << report.diagnostics.size() - fresh.size() << " baselined), "
+    std::cout << "ntco-lint: " << report.files_scanned << " files, "
+              << report.diagnostics.size() << " diagnostics, "
               << report.suppressions.size() << " suppressions ("
-              << report.stale_suppressions.size() << " stale), "
-              << fresh.size() << " new\n";
-    if (!fresh.empty()) return 1;
+              << report.stale_suppressions.size() << " stale)\n";
+    if (!report.diagnostics.empty()) return 1;
     if (fail_stale && !report.stale_suppressions.empty()) return 1;
     return 0;
   } catch (const std::exception& e) {

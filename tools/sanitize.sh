@@ -5,7 +5,8 @@
 #   tools/sanitize.sh --help
 #
 # Default family is address (ASan + UBSan); `thread` builds with TSan
-# instead, which is what the fleet thread-pool tests want (the two families
+# instead, which is what the fleet and dataplane tests want (the dataplane
+# workers and lock-free rings are the only concurrent code; the two families
 # cannot be combined in one build — see NTCO_SANITIZE in CMakeLists.txt).
 # Benches and examples are skipped: the sanitizer run exists to shake out
 # memory, UB, and data-race errors in the library and its tests, not to
