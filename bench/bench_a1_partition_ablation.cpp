@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "ntco/app/generators.hpp"
 #include "ntco/fleet/replicator.hpp"
 #include "ntco/partition/partitioners.hpp"
 
@@ -28,18 +27,6 @@ partition::Environment random_env(Rng& rng) {
   env.uplink_latency = Duration::millis(rng.uniform_int(5, 60));
   env.downlink_latency = env.uplink_latency;
   return env;
-}
-
-app::TaskGraph random_graph(std::size_t components, Rng& rng) {
-  app::GeneratorParams gp;
-  gp.components = components;
-  gp.mean_work =
-      Cycles::mega(static_cast<std::uint64_t>(rng.uniform_int(100, 4000)));
-  gp.mean_flow = DataSize::kilobytes(
-      static_cast<std::uint64_t>(rng.uniform_int(20, 2000)));
-  const auto layers =
-      std::max<std::size_t>(2, std::min<std::size_t>(components / 3, 6));
-  return app::layered_random(layers, gp, rng.fork(1));
 }
 
 }  // namespace
@@ -72,7 +59,7 @@ int main() {
         static_cast<std::size_t>(kTrials), [&](fleet::ShardContext& ctx) {
           auto portfolio = partition::standard_portfolio(11 + ctx.shard);
           Rng rng = ctx.rng;
-          const auto g = random_graph(
+          const auto g = bench::a1_random_graph(
               static_cast<std::size_t>(rng.uniform_int(8, 16)), rng);
           const partition::CostModel model(g, random_env(rng),
                                            partition::Objective::latency());
@@ -111,7 +98,7 @@ int main() {
                     "annealing (us)", "greedy gap to min-cut"});
     for (const std::size_t n : {16u, 32u, 64u, 128u, 256u, 512u}) {
       Rng rng(900 + n);
-      const auto g = random_graph(n, rng);
+      const auto g = bench::a1_random_graph(n, rng);
       const partition::CostModel model(g, random_env(rng),
                                        partition::Objective::latency());
       auto timed = [&](const partition::Partitioner& p, double* value) {

@@ -4,10 +4,12 @@
 // simulated world per configuration point so results are independent and
 // deterministic (fixed seeds; see DESIGN.md).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "ntco/app/generators.hpp"
 #include "ntco/app/workloads.hpp"
 #include "ntco/cicd/pipeline.hpp"
 #include "ntco/core/controller.hpp"
@@ -47,6 +49,21 @@ inline core::ControllerConfig ntc_cfg() {
   core::ControllerConfig cfg;
   cfg.objective = partition::Objective::non_time_critical();
   return cfg;
+}
+
+/// A1's random layered DAG family: `components` nodes in 2-6 layers, mean
+/// work and flow size drawn from `rng` (A1 and bench_micro_prepare share it,
+/// so the micro bench times the exact graphs A1 plans).
+inline app::TaskGraph a1_random_graph(std::size_t components, Rng& rng) {
+  app::GeneratorParams gp;
+  gp.components = components;
+  gp.mean_work =
+      Cycles::mega(static_cast<std::uint64_t>(rng.uniform_int(100, 4000)));
+  gp.mean_flow = DataSize::kilobytes(
+      static_cast<std::uint64_t>(rng.uniform_int(20, 2000)));
+  const auto layers =
+      std::max<std::size_t>(2, std::min<std::size_t>(components / 3, 6));
+  return app::layered_random(layers, gp, rng.fork(1));
 }
 
 /// Unified experiment reporting: one object per bench binary that prints

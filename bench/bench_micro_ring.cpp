@@ -15,18 +15,16 @@
 // regression fails). The threaded benches report but are not gated: on a
 // shared single-core runner their numbers are scheduler noise.
 //
-// Own main: when NTCO_BENCH_OUT names a directory every result is mirrored
-// into <dir>/BENCH_micro_ring.json (same stable schema as
-// BENCH_micro_sim.json, parseable with POSIX awk).
+// Own main (micro_main.hpp): when NTCO_BENCH_OUT names a directory every
+// result is mirrored into <dir>/BENCH_micro_ring.json (same stable schema
+// as BENCH_micro_sim.json, parseable with POSIX awk).
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <thread>
 #include <vector>
 
+#include "micro_main.hpp"
 #include "ntco/dataplane/engine.hpp"
 #include "ntco/dataplane/ring.hpp"
 
@@ -156,66 +154,8 @@ void BM_EpochBarrier(benchmark::State& state) {
 BENCHMARK(BM_EpochBarrier)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// ---------------------------------------------------------------------------
-// Reporting: identical mirroring scheme to bench_micro_sim.cpp.
-
-struct CapturedRun {
-  std::string name;
-  double items_per_second = 0.0;
-  double ns_per_item = 0.0;
-};
-
-class MirroringReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const Run& run : runs) {
-      if (run.error_occurred) continue;
-      CapturedRun c;
-      c.name = run.benchmark_name();
-      const auto it = run.counters.find("items_per_second");
-      if (it != run.counters.end()) {
-        c.items_per_second = static_cast<double>(it->second);
-        if (c.items_per_second > 0.0) c.ns_per_item = 1e9 / c.items_per_second;
-      }
-      captured.push_back(std::move(c));
-    }
-    benchmark::ConsoleReporter::ReportRuns(runs);
-  }
-
-  std::vector<CapturedRun> captured;
-};
-
-bool write_json(const std::string& path,
-                const std::vector<CapturedRun>& runs) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\n  \"bench\": \"micro_ring\",\n  \"results\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i)
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"items_per_second\": %.6g, "
-                 "\"ns_per_item\": %.6g}%s\n",
-                 runs[i].name.c_str(), runs[i].items_per_second,
-                 runs[i].ns_per_item, i + 1 < runs.size() ? "," : "");
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  MirroringReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  if (const char* dir = std::getenv("NTCO_BENCH_OUT");
-      dir != nullptr && dir[0] != '\0') {
-    const std::string path = std::string(dir) + "/BENCH_micro_ring.json";
-    if (!write_json(path, reporter.captured)) {
-      std::fprintf(stderr, "ntco: cannot write %s\n", path.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  return ntco::bench::run_micro(argc, argv, "micro_ring");
 }

@@ -47,6 +47,8 @@ class MemoryOptimizer {
   /// below it are excluded. `parallel_fraction` is the function's Amdahl
   /// fraction (it shapes the whole curve above one vCPU). `step` controls
   /// sweep granularity (must be a multiple of the provider quantum).
+  /// Costs are at the reference tariff (Platform::reference_cost), so the
+  /// curve and the choice do not depend on the platform's price windows.
   [[nodiscard]] std::vector<MemoryPoint> sweep(
       Cycles work, DataSize floor, double parallel_fraction = 1.0,
       DataSize step = DataSize::megabytes(128)) const;

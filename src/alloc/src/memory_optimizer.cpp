@@ -20,7 +20,7 @@ std::vector<MemoryPoint> MemoryOptimizer::sweep(Cycles work, DataSize floor,
     const Duration d = platform_.exec_time(mem, work, parallel_fraction);
     // Price at the reference (multiplier-free) tariff; scheduling into a
     // discount window is the scheduler's job, not the allocator's.
-    const Money c = platform_.invocation_cost(mem, d, TimePoint::origin());
+    const Money c = platform_.reference_cost(mem, d);
     out.push_back(MemoryPoint{mem, d, c});
   }
   NTCO_ENSURES(!out.empty());

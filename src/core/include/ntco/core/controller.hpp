@@ -1,10 +1,12 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ntco/app/task_graph.hpp"
@@ -164,6 +166,10 @@ class OffloadController {
   /// warm instances — instead of registering fresh cold ones. This is what
   /// lets a plan-cache hit skip the redundant deploy cost (previously
   /// every prepare() cold-started a brand-new set of functions).
+  ///
+  /// Each function is sized once per distinct allocator input: the memory
+  /// choice is memoised, and function specs are built only when the plan
+  /// is actually deployed.
   [[nodiscard]] DeploymentPlan prepare(
       const app::TaskGraph& g, const partition::Partitioner& partitioner);
 
@@ -173,6 +179,13 @@ class OffloadController {
   [[nodiscard]] DeploymentPlan prepare(
       const app::TaskGraph& g, const partition::Partitioner& partitioner,
       const partition::Environment& env);
+
+  /// Memory prepare() configures `comp`'s function with when the plan
+  /// assumes `remote_speed`: alloc::MemoryOptimizer::choose's pick under
+  /// the deadline min(component_deadline, 1.05 × planned execution time).
+  /// Computed once per distinct input, then served from a memo.
+  [[nodiscard]] DataSize function_memory(const app::Component& comp,
+                                         Frequency remote_speed);
 
   /// Executes `truth` once under `plan`, sequentially in topological
   /// order; `done` fires with the measured report. Multiple concurrent
@@ -247,6 +260,15 @@ class OffloadController {
   /// Deployed-function memo keyed by plan fingerprint (see prepare()):
   /// identical plans reuse their FunctionIds instead of redeploying.
   std::map<std::string, std::vector<serverless::FunctionId>> deployed_;
+  /// Memory-choice memo keyed by the exact argument tuple of
+  /// alloc::MemoryOptimizer::choose: (work cycles, floor bytes,
+  /// parallel_fraction, deadline µs, memory_step bytes). Exact by
+  /// construction: the platform's config is immutable after construction
+  /// and choose() compares durations in whole µs. Grows by at most one
+  /// entry per distinct component × remote_speed × component_deadline.
+  using MemoryKey = std::tuple<std::uint64_t, std::uint64_t, double,
+                               std::int64_t, std::uint64_t>;
+  std::map<MemoryKey, DataSize> memory_memo_;
 };
 
 }  // namespace ntco::core

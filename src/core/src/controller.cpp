@@ -117,35 +117,22 @@ DeploymentPlan OffloadController::prepare(
                           DeploymentPlan::kInvalidFunction);
   plan.memory_of.assign(g.component_count(), DataSize::zero());
 
-  // Size every remote component's function first; the resulting specs (not
+  // Size every remote component's function first; the chosen sizes (not
   // the environment that produced them) are what deployment must be
   // idempotent over.
-  const alloc::MemoryOptimizer optimizer(platform_);
-  std::vector<std::pair<app::ComponentId, serverless::FunctionSpec>> specs;
+  std::size_t remote = 0;
   std::string fingerprint = g.name();
   fingerprint += '|';
   fingerprint += plan.partition.to_string();
   for (app::ComponentId id = 0; id < g.component_count(); ++id) {
     if (!plan.partition.is_remote(id)) continue;
     const auto& comp = g.component(id);
-    // Keep the allocation coherent with the plan: the function must run no
-    // slower than the speed the partitioner assumed (plus 5% tolerance),
-    // and within any caller-supplied per-component deadline.
-    const Duration planned_exec = comp.work / plan.environment.remote_speed;
-    const Duration deadline =
-        std::min(cfg_.component_deadline, planned_exec * 1.05);
-    const auto choice =
-        optimizer.choose(comp.work, comp.memory, comp.parallel_fraction,
-                         deadline, cfg_.memory_step);
-    plan.memory_of[id] = choice.chosen.memory;
-    specs.emplace_back(id, serverless::FunctionSpec{
-                               g.name() + "/" + comp.name,
-                               choice.chosen.memory, comp.image,
-                               comp.parallel_fraction});
+    plan.memory_of[id] = function_memory(comp, plan.environment.remote_speed);
+    ++remote;
     fingerprint += '|';
     fingerprint += comp.name;
     fingerprint += '@';
-    fingerprint += std::to_string(choice.chosen.memory.count_bytes());
+    fingerprint += std::to_string(plan.memory_of[id].count_bytes());
     fingerprint += '#';
     fingerprint += std::to_string(comp.image.count_bytes());
   }
@@ -154,26 +141,53 @@ DeploymentPlan OffloadController::prepare(
   if (memo != deployed_.end()) {
     // Same functions, same sizes: reuse the deployment (and its warm
     // instances) instead of registering cold duplicates.
-    NTCO_ENSURES(memo->second.size() == specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-      plan.function_of[specs[i].first] = memo->second[i];
+    NTCO_ENSURES(memo->second.size() == remote);
+    std::size_t next = 0;
+    for (app::ComponentId id = 0; id < g.component_count(); ++id)
+      if (plan.partition.is_remote(id))
+        plan.function_of[id] = memo->second[next++];
     if (m_.plan_reuses) m_.plan_reuses->add();
     if (trace_)
       obs::emit(trace_, sim_.now(), "ctl.deploy.reuse",
-                {{"app", std::string_view(g.name())},
-                 {"functions", specs.size()}});
+                {{"app", std::string_view(g.name())}, {"functions", remote}});
     return plan;
   }
 
   std::vector<serverless::FunctionId> ids;
-  ids.reserve(specs.size());
-  for (auto& [id, spec] : specs) {
-    plan.function_of[id] = platform_.deploy(std::move(spec));
+  ids.reserve(remote);
+  for (app::ComponentId id = 0; id < g.component_count(); ++id) {
+    if (!plan.partition.is_remote(id)) continue;
+    const auto& comp = g.component(id);
+    plan.function_of[id] = platform_.deploy(serverless::FunctionSpec{
+        g.name() + "/" + comp.name, plan.memory_of[id], comp.image,
+        comp.parallel_fraction});
     ids.push_back(plan.function_of[id]);
   }
   deployed_.emplace(std::move(fingerprint), std::move(ids));
   if (m_.plan_deploys) m_.plan_deploys->add();
   return plan;
+}
+
+DataSize OffloadController::function_memory(const app::Component& comp,
+                                            Frequency remote_speed) {
+  // Keep the allocation coherent with the plan: the function must run no
+  // slower than the speed the partitioner assumed (plus 5% tolerance), and
+  // within any caller-supplied per-component deadline.
+  const Duration planned_exec = comp.work / remote_speed;
+  const Duration deadline =
+      std::min(cfg_.component_deadline, planned_exec * 1.05);
+  const MemoryKey key{comp.work.value(), comp.memory.count_bytes(),
+                      comp.parallel_fraction, deadline.count_micros(),
+                      cfg_.memory_step.count_bytes()};
+  const auto hit = memory_memo_.find(key);
+  if (hit != memory_memo_.end()) return hit->second;
+  const DataSize chosen =
+      alloc::MemoryOptimizer(platform_)
+          .choose(comp.work, comp.memory, comp.parallel_fraction, deadline,
+                  cfg_.memory_step)
+          .chosen.memory;
+  memory_memo_.emplace(key, chosen);
+  return chosen;
 }
 
 /// Per-execution state threaded through the event chain.

@@ -241,6 +241,11 @@ class Platform {
                                       TimePoint when,
                                       Tier tier = Tier::OnDemand) const;
 
+  /// invocation_cost() at the reference tariff: multiplier 1.0 whatever
+  /// the price windows say, on-demand tier. The memory allocator prices
+  /// with this, so a discount window never rescales its reported cost.
+  [[nodiscard]] Money reference_cost(DataSize memory, Duration billed) const;
+
   /// Execution-price multiplier in effect at `when`.
   [[nodiscard]] double price_multiplier(TimePoint when) const;
 

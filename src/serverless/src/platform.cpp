@@ -193,19 +193,34 @@ double Platform::price_multiplier(TimePoint when) const {
   return price_multiplier_at(cfg_.price_windows, when);
 }
 
-Money Platform::invocation_cost(DataSize memory, Duration billed,
-                                TimePoint when, Tier tier) const {
+namespace {
+
+/// Execution price of `billed` at `memory`, scaled by the time-of-day
+/// `multiplier` and the tier's `tier_factor`, plus the per-request fee.
+Money tariff_cost(const PlatformConfig& cfg, DataSize memory, Duration billed,
+                  double multiplier, double tier_factor) {
   NTCO_EXPECTS(!billed.is_negative());
   // Round the billed duration up to the billing quantum.
-  const auto q = cfg_.billing_quantum.count_micros();
+  const auto q = cfg.billing_quantum.count_micros();
   const auto us = (billed.count_micros() + q - 1) / q * q;
   const double gb_seconds = static_cast<double>(memory.count_bytes()) / 1e9 *
                             static_cast<double>(us) / 1e6;
+  return cfg.price_per_gb_second * (gb_seconds * multiplier * tier_factor) +
+         cfg.price_per_request;
+}
+
+}  // namespace
+
+Money Platform::invocation_cost(DataSize memory, Duration billed,
+                                TimePoint when, Tier tier) const {
   const double tier_factor =
       tier == Tier::Spot ? cfg_.spot_price_multiplier : 1.0;
-  return cfg_.price_per_gb_second *
-             (gb_seconds * price_multiplier(when) * tier_factor) +
-         cfg_.price_per_request;
+  return tariff_cost(cfg_, memory, billed, price_multiplier(when),
+                     tier_factor);
+}
+
+Money Platform::reference_cost(DataSize memory, Duration billed) const {
+  return tariff_cost(cfg_, memory, billed, 1.0, 1.0);
 }
 
 void Platform::pump() {

@@ -109,6 +109,36 @@ TEST(MemoryOptimizer, AmdahlLimitedFunctionHasInteriorCostOptimum) {
   EXPECT_EQ(serial.front().duration, serial.back().duration);
 }
 
+// sweep() used to price at the tariff in effect at hour 0 of simulated
+// time, so a price window covering midnight rescaled every reported cost
+// (F12, F16 and the repo benchmark run an overnight 0.55 discount). The
+// allocator prices at the reference tariff: windows must not move its
+// choice or its cost.
+TEST(MemoryOptimizer, PriceWindowsDoNotChangeTheChoice) {
+  sim::Simulator s;
+  serverless::Platform plain(s, provider());
+  auto windowed_cfg = provider();
+  windowed_cfg.price_windows = {{0, 24, 0.5}};
+  serverless::Platform windowed(s, windowed_cfg);
+  const MemoryOptimizer plain_opt(plain);
+  const MemoryOptimizer windowed_opt(windowed);
+  for (const auto work : {Cycles::mega(1), Cycles::giga(20)}) {
+    for (const double parallel : {0.5, 1.0}) {
+      for (const auto deadline : {Duration::max(), Duration::seconds(5)}) {
+        const auto a = plain_opt.choose(work, DataSize::megabytes(128),
+                                        parallel, deadline);
+        const auto b = windowed_opt.choose(work, DataSize::megabytes(128),
+                                           parallel, deadline);
+        EXPECT_EQ(a.chosen.memory, b.chosen.memory);
+        EXPECT_EQ(a.chosen.cost, b.chosen.cost);
+        EXPECT_EQ(a.chosen.cost, plain.invocation_cost(a.chosen.memory,
+                                                       a.chosen.duration,
+                                                       TimePoint::origin()));
+      }
+    }
+  }
+}
+
 TEST(MemoryOptimizer, InvalidStepRejected) {
   sim::Simulator s;
   serverless::Platform p(s, provider());

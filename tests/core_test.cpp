@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "ntco/alloc/memory_optimizer.hpp"
 #include "ntco/app/workloads.hpp"
 #include "ntco/common/error.hpp"
+#include "ntco/common/rng.hpp"
 #include "ntco/net/path.hpp"
 
 namespace ntco::core {
@@ -210,6 +212,57 @@ TEST(Prepare, DifferentPartitionDeploysFresh) {
   const std::size_t after_mincut = fx.platform.function_count();
   (void)fx.controller.prepare(g, partition::RemoteAllPartitioner{});
   EXPECT_GT(fx.platform.function_count(), after_mincut);
+}
+
+// prepare() memoises the memory choice per allocator input. The memo must
+// be invisible: every remote component gets exactly what a fresh
+// MemoryOptimizer::choose() returns, over the paper workloads and A1-style
+// random environments (remote speed 1.5-6 GHz, finite and unbounded
+// component deadlines, 64 and 128 MB sweep steps), and a repeated prepare()
+// returns the same sizes and functions.
+TEST(Prepare, MemoisedMemoryMatchesFreshChoice) {
+  Rng rng(13);
+  const partition::MinCutPartitioner mincut;
+  const partition::RemoteAllPartitioner remote_all;
+  const partition::Partitioner* const partitioners[] = {&mincut, &remote_all};
+  std::size_t checked = 0;
+  for (const Duration component_deadline :
+       {Duration::max(), Duration::seconds(2)}) {
+    for (const DataSize step :
+         {DataSize::megabytes(64), DataSize::megabytes(128)}) {
+      ControllerConfig cfg;
+      cfg.component_deadline = component_deadline;
+      cfg.memory_step = step;
+      Fixture fx(cfg);
+      const alloc::MemoryOptimizer optimizer(fx.platform);
+      for (int trial = 0; trial < 4; ++trial) {
+        const Frequency speed = Frequency::gigahertz(rng.uniform(1.5, 6.0));
+        for (const auto& g : app::workloads::all()) {
+          auto env = fx.controller.make_environment(g);
+          env.remote_speed = speed;
+          for (const partition::Partitioner* p : partitioners) {
+            const auto first = fx.controller.prepare(g, *p, env);
+            for (app::ComponentId id = 0; id < g.component_count(); ++id) {
+              if (!first.is_remote(id)) continue;
+              const auto& comp = g.component(id);
+              const Duration deadline =
+                  std::min(component_deadline, comp.work / speed * 1.05);
+              const auto fresh =
+                  optimizer.choose(comp.work, comp.memory,
+                                   comp.parallel_fraction, deadline, step);
+              EXPECT_EQ(first.memory_of[id], fresh.chosen.memory)
+                  << g.name() << '/' << comp.name;
+              ++checked;
+            }
+            const auto second = fx.controller.prepare(g, *p, env);
+            EXPECT_EQ(second.memory_of, first.memory_of);
+            EXPECT_EQ(second.function_of, first.function_of);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100u);
 }
 
 TEST(Controller, BadConfigRejected) {

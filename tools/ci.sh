@@ -16,14 +16,17 @@
 #      bench_f14_continuum, bench_f15_vehicular, and bench_f16_diurnal must
 #      emit byte-identical stdout and NTCO_BENCH_OUT artifacts with
 #      NTCO_THREADS=1 and NTCO_THREADS=8
-#   6. run bench_micro_sim, bench_micro_fabric, and bench_micro_ring and
-#      compare their gated loops against the checked-in
-#      BENCH_micro_sim.json / BENCH_micro_fabric.json /
-#      BENCH_micro_ring.json baselines: a drop of more than 10% in
-#      items_per_second fails the gate (benchmarks are noisy; 10% is
-#      beyond run-to-run jitter for these loops). Refresh a baseline by
-#      copying the build's JSON to the repo root after a deliberate
-#      kernel/fabric/ring change.
+#   6. run bench_micro_sim, bench_micro_fabric, bench_micro_ring, and
+#      bench_micro_prepare and compare their gated loops against the
+#      checked-in BENCH_micro_sim.json / BENCH_micro_fabric.json /
+#      BENCH_micro_ring.json / BENCH_micro_prepare.json baselines: a drop
+#      of more than 10% in items_per_second fails the gate (benchmarks are
+#      noisy; 10% is beyond run-to-run jitter for these loops). The
+#      prepare gate covers BM_Prepare/ml-batch-training and
+#      BM_Prepare/a1-dag-128 (whole memoised prepare() calls, one paper
+#      workload and one 128-component DAG). Refresh a baseline by copying
+#      the build's JSON to the repo root after a deliberate
+#      kernel/fabric/ring/controller change.
 #   7. run the repo benchmark's own tests (python3
 #      perfbench/test_perfbench.py): the perfbench binaries must build
 #      from this src/ and reproduce their t1 == t4 digests
@@ -80,7 +83,7 @@ for det_bench in bench_f5_scale_users bench_f12_broker bench_f13_fabric_contenti
   echo "$det_bench: byte-identical across $(ls "$DET_DIR/t1" | wc -l) artifacts"
 done
 
-echo "== [6/9] kernel + fabric micro-benches vs checked-in baselines =="
+echo "== [6/9] kernel, fabric, ring + prepare micro-benches vs checked-in baselines =="
 # gate_micro <bench-binary> <baseline.json> <gated loop>...
 gate_micro() {
   mb="$1"; baseline="$2"; shift 2
@@ -116,6 +119,8 @@ gate_micro bench_micro_fabric BENCH_micro_fabric.json \
 # noise on shared or single-core runners.
 gate_micro bench_micro_ring BENCH_micro_ring.json \
   "BM_RingSinglePushPop/1024" "BM_RingBatchedPushPop/1024"
+gate_micro bench_micro_prepare BENCH_micro_prepare.json \
+  "BM_Prepare/ml-batch-training" "BM_Prepare/a1-dag-128"
 
 echo "== [7/9] repo benchmark tests (perfbench) =="
 CARGO_TARGET_DIR="$(cd "$BUILD_DIR" && pwd)/perfbench" \
