@@ -1,12 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "ntco/common/inline_function.hpp"
 #include "ntco/common/units.hpp"
 #include "ntco/obs/metrics.hpp"
 #include "ntco/obs/trace.hpp"
@@ -16,19 +15,27 @@
 /// Cross-user batch dispatch: amortising cold starts over a population.
 ///
 /// sched::Policy::Batched aligns one user's jobs; the dispatcher does the
-/// same across *users*. Admitted jobs that target the same group (same
+/// same across *users*. A job arrives with its earliest and latest start;
+/// the dispatcher rounds the earliest start up to the `interval` grid
+/// (never past the latest, never before the earliest) so compatible users
+/// meet on the same flush instant. Jobs that target the same group (same
 /// workload, hence the same deployed functions) and the same flush instant
 /// are collected and released together. A batch that reaches `max_batch`
 /// is *sealed* — it stops accepting jobs (later arrivals open a fresh
 /// batch under the same key) but still waits for its flush instant, since
 /// flushing early would run the jobs outside the price window the instant
-/// was aligned to. Within a flushed batch, jobs are
-/// split round-robin over `lanes` sequential chains: each lane starts its
-/// next job only when the previous one completed, so at most `lanes`
-/// instances per function ever run concurrently and every job after a
-/// lane's first reuses a warm instance instead of paying a cold start. The
-/// lane count trades completion latency (fewer lanes = longer chains)
-/// against cold starts (more lanes = more first-in-lane colds).
+/// was aligned to. Within a flushed batch, jobs are split round-robin over
+/// `lanes` sequential chains: each lane starts its next job only when the
+/// previous one reported completion, so at most `lanes` instances per
+/// function ever run concurrently and every job after a lane's first
+/// reuses a warm instance instead of paying a cold start. The lane count
+/// trades completion latency (fewer lanes = longer chains) against cold
+/// starts (more lanes = more first-in-lane colds).
+///
+/// Lane chaining needs no per-lane state: a released batch keeps its jobs
+/// in enqueue order, lane l runs jobs l, l+lanes, l+2*lanes, ..., and a
+/// running job carries its `Lane` (batch id, index) so complete() knows
+/// its successor. The batch is dropped once its last lane ends.
 ///
 /// Determinism: group state lives in a std::map keyed by (group, flush
 /// time), flushes are simulator events, and jobs within a batch keep their
@@ -42,8 +49,8 @@ struct BatchConfig {
   std::size_t max_batch = 32;
   /// Sequential execution chains per flushed batch.
   std::size_t lanes = 4;
-  /// Alignment grid for flush instants (callers round start times up to a
-  /// multiple of this; see Broker::serve).
+  /// Alignment grid for flush instants (enqueue() rounds each job's
+  /// earliest start up to a multiple of this).
   Duration interval = Duration::minutes(10);
 };
 
@@ -57,23 +64,33 @@ struct BatchStats {
 /// chains on the simulator.
 class BatchDispatcher {
  public:
-  /// One dispatched job; it must eventually invoke `done` exactly once so
-  /// the lane can start its successor.
-  using Job = std::function<void(std::function<void()> done)>;
+  /// A started job's place in its lane: released-batch id and index.
+  struct Lane {
+    std::uint64_t batch = 0;
+    std::size_t job = 0;
+  };
+  /// One queued job, started with its lane position. It must hand that
+  /// position back to complete() exactly once, when it finishes.
+  using Job = InlineFunction<void(Lane)>;
 
   BatchDispatcher(sim::Simulator& sim, BatchConfig cfg);
 
   BatchDispatcher(const BatchDispatcher&) = delete;
   BatchDispatcher& operator=(const BatchDispatcher&) = delete;
 
-  /// Queues `job` into the (group, flush_at) batch, scheduling the flush
-  /// event on first use of that batch. `flush_at` is clamped to now.
-  void enqueue(const std::string& group, TimePoint flush_at, Job job);
+  /// Queues `job` for the first grid instant at or after `earliest`,
+  /// clamped to [earliest, latest] and to now, scheduling the flush event
+  /// on first use of that (group, instant) batch.
+  void enqueue(const std::string& group, TimePoint earliest, TimePoint latest,
+               Job job);
+
+  /// Reports that the job started at `lane` finished: starts the lane's
+  /// next job, if any, before returning.
+  void complete(Lane lane);
 
   /// Batches currently waiting for their flush instant.
   [[nodiscard]] std::size_t open_batches() const { return pending_.size(); }
   [[nodiscard]] const BatchStats& stats() const { return stats_; }
-  [[nodiscard]] const BatchConfig& config() const { return cfg_; }
 
   /// Attaches observability. `trace` receives "broker.batch_flush";
   /// `metrics` hosts the "broker.batch.*" counters. Either may be null.
@@ -90,10 +107,17 @@ class BatchDispatcher {
     std::vector<Job> jobs;
     sim::EventId flush_event = sim::kNoEvent;
   };
+  /// A batch taken out of pending_ (sealed, or flushed): its jobs run as
+  /// lane chains until the last lane ends.
+  struct Released {
+    std::string group;
+    std::vector<Job> jobs;
+    std::size_t running = 0;  ///< lane chains not yet ended
+  };
 
   void flush(const Key& key);
-  void release(const std::string& group, std::vector<Job> jobs, bool sealed);
-  void run_lane(std::shared_ptr<std::vector<Job>> lane, std::size_t next);
+  void release(std::uint64_t id, bool sealed);
+  void start(Lane lane);
 
   struct Instruments {
     obs::Counter* batches = nullptr;
@@ -104,6 +128,8 @@ class BatchDispatcher {
   sim::Simulator& sim_;
   BatchConfig cfg_;
   std::map<Key, Pending> pending_;
+  std::map<std::uint64_t, Released> released_;
+  std::uint64_t next_released_ = 0;
   BatchStats stats_;
   obs::TraceSink* trace_ = nullptr;
   Instruments m_;

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <set>
-#include <string>
 
 #include "ntco/app/task_graph.hpp"
 #include "ntco/broker/admission.hpp"
@@ -124,12 +124,15 @@ struct ServeOutcome {
   /// Served by the stage-1 heuristic while the exact solve resolved
   /// asynchronously (two-stage pipeline only).
   bool heuristic_serve = false;
-  Duration decision_latency;    ///< simulated planning/serving time
-  TimePoint released;           ///< when serve() was called
-  TimePoint finished;           ///< when the outcome fired
-  std::uint64_t deferrals = 0;  ///< admission retries this request took
-  core::ExecutionReport report;  ///< valid unless status == Shed
+  Duration decision_latency{};   ///< simulated planning/serving time
+  TimePoint released{};          ///< when serve() was called
+  TimePoint finished{};          ///< when the outcome fired
+  std::uint64_t deferrals = 0;   ///< admission retries this request took
+  core::ExecutionReport report{};  ///< valid unless status == Shed
 };
+
+/// serve()'s outcome callback.
+using ServeCallback = std::function<void(const ServeOutcome&)>;
 
 struct BrokerStats {
   std::uint64_t requests = 0;
@@ -160,8 +163,7 @@ class Broker {
   /// Serves one request. The outcome callback fires exactly once — at shed
   /// time, or when the (possibly deferred, batched) execution completes.
   /// Drive the simulator (sim.run()) to make progress.
-  void serve(ServeRequest req,
-             std::function<void(const ServeOutcome&)> done = {});
+  void serve(ServeRequest req, ServeCallback done = {});
 
   [[nodiscard]] const BrokerStats& stats() const { return stats_; }
   [[nodiscard]] const TwoStageStats& twostage() const { return twostage_; }
@@ -173,6 +175,9 @@ class Broker {
     return dispatcher_;
   }
   [[nodiscard]] const BrokerConfig& config() const { return cfg_; }
+  /// Requests whose outcome has not fired yet (0 once the simulator has
+  /// drained).
+  [[nodiscard]] std::size_t live_requests() const { return live_requests_; }
 
   /// Attaches observability to the broker and its layers. `trace` receives
   /// "broker.*" events; `metrics` hosts the "broker.*" instruments. Either
@@ -199,13 +204,32 @@ class Broker {
   }
 
  private:
+  /// One serve() call, from admission to outcome. Every event on the
+  /// serving path captures `this` plus a pointer to its record; finish()
+  /// returns the record to the pool exactly once, when the outcome fires.
+  struct Request {
+    ServeRequest req;
+    TimePoint released;
+    std::uint64_t deferrals = 0;
+    Duration decision{};
+    BatchDispatcher::Lane lane{};  ///< where its batch started it
+    bool hit = false;
+    bool heuristic = false;
+    std::shared_ptr<const core::DeploymentPlan> plan{};
+    ServeCallback done;
+    Request* next_free = nullptr;  ///< pool free-list link
+  };
+
   /// (Re-)attempts admission; deferred requests loop back here.
-  void attempt(ServeRequest req, TimePoint released, std::uint64_t deferrals,
-               std::function<void(const ServeOutcome&)> done, bool is_retry);
-  /// Past admission: cache lookup or fresh plan, then dispatch.
-  void decide_and_dispatch(ServeRequest req, TimePoint released,
-                           std::uint64_t deferrals,
-                           std::function<void(const ServeOutcome&)> done);
+  void attempt(Request* rec);
+  /// Past admission: cache lookup or fresh plan, then dispatch after the
+  /// simulated decision latency.
+  void decide_and_dispatch(Request* rec);
+  /// Plans the start and hands the job to the batch grid (or the kernel).
+  void dispatch(Request* rec);
+  void execute(Request* rec);
+  /// Completes `out` from the record, frees the record, then delivers.
+  void finish(Request* rec, ServeOutcome out);
   /// Rough pre-planning duration estimate used by admission: service time
   /// at the reference memory *plus* the wireless leg at the transport's
   /// nominal spec rates scaled by this user's link quality. Checking the
@@ -222,11 +246,6 @@ class Broker {
                               const app::TaskGraph& g,
                               partition::Environment env,
                               partition::Partition heuristic);
-  /// Stage-1 heuristic partitioner (config override or built-in rule).
-  [[nodiscard]] const partition::Partitioner& stage1_partitioner() const {
-    return cfg_.heuristic_partitioner != nullptr ? *cfg_.heuristic_partitioner
-                                                 : all_remote_;
-  }
 
   struct Instruments {
     obs::Counter* requests = nullptr;
@@ -255,6 +274,11 @@ class Broker {
   /// same-bucket misses triggers one solver run, not a storm. std::set
   /// for deterministic iteration (lint R2).
   std::set<PlanKey> resolving_;
+  /// Request-record pool: deque addresses are stable, freed records are
+  /// reused through an intrusive free list.
+  std::deque<Request> requests_;
+  Request* free_requests_ = nullptr;
+  std::size_t live_requests_ = 0;
   BrokerStats stats_;
   TwoStageStats twostage_;
   obs::TraceSink* trace_ = nullptr;

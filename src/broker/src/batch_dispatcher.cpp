@@ -25,78 +25,84 @@ void BatchDispatcher::attach_observer(obs::TraceSink* trace,
   }
 }
 
-void BatchDispatcher::enqueue(const std::string& group, TimePoint flush_at,
-                              Job job) {
+void BatchDispatcher::enqueue(const std::string& group, TimePoint earliest,
+                              TimePoint latest, Job job) {
   NTCO_EXPECTS(job != nullptr);
-  const TimePoint at = std::max(flush_at, sim_.now());
+  // Round up to the grid so compatible users flush together, but never
+  // past the latest deadline-safe start.
+  const std::int64_t grid = cfg_.interval.count_micros();
+  const std::int64_t s = earliest.since_origin().count_micros();
+  const TimePoint aligned =
+      TimePoint::at(Duration::micros((s + grid - 1) / grid * grid));
+  const TimePoint at =
+      std::max(std::max(std::min(aligned, latest), earliest), sim_.now());
   const Key key{group, at.since_origin().count_micros()};
   auto [it, inserted] = pending_.try_emplace(key);
   Pending& batch = it->second;
-  if (inserted) {
+  if (inserted)
     batch.flush_event = sim_.schedule_at(at, [this, key] { flush(key); });
-  }
   batch.jobs.push_back(std::move(job));
   if (batch.jobs.size() >= cfg_.max_batch) {
     // Seal: the batch stops growing but still flushes at its aligned
     // instant — dispatching now would leave the price window the instant
     // was chosen for. Later arrivals re-open the key with a fresh event.
-    // The jobs move straight into the handler: InlineHandler is move-only,
-    // so the shared_ptr hop std::function's copyability used to force is
-    // gone.
-    std::vector<Job> sealed = std::move(batch.jobs);
     sim_.cancel(batch.flush_event);
+    const std::uint64_t id = next_released_++;
+    released_.try_emplace(id, group, std::move(batch.jobs));
     pending_.erase(it);
-    // ntco-lint: allow(R9) sealed-batch handler must own the group name past the caller; seal is the rare overflow path
-    sim_.schedule_at(at, [this, group, jobs = std::move(sealed)]() mutable {
-      release(group, std::move(jobs), /*sealed=*/true);
-    });
+    sim_.schedule_at(at, [this, id] { release(id, /*sealed=*/true); });
   }
 }
 
 void BatchDispatcher::flush(const Key& key) {
-  const auto it = pending_.find(key);
-  NTCO_EXPECTS(it != pending_.end());
-  std::vector<Job> jobs = std::move(it->second.jobs);
-  pending_.erase(it);
-  release(key.group, std::move(jobs), /*sealed=*/false);
+  auto node = pending_.extract(key);
+  NTCO_EXPECTS(!node.empty());
+  const std::uint64_t id = next_released_++;
+  released_.try_emplace(id, std::move(node.key().group),
+                        std::move(node.mapped().jobs));
+  release(id, /*sealed=*/false);
 }
 
-void BatchDispatcher::release(const std::string& group, std::vector<Job> jobs,
-                              bool sealed) {
+void BatchDispatcher::release(std::uint64_t id, bool sealed) {
+  Released& b = released_.at(id);
+  const std::size_t n = b.jobs.size();
   ++stats_.batches;
-  stats_.jobs_dispatched += jobs.size();
+  stats_.jobs_dispatched += n;
   if (sealed) ++stats_.sealed;
   if (m_.batches) {
     m_.batches->add();
-    m_.jobs->add(jobs.size());
+    m_.jobs->add(n);
     if (sealed) m_.sealed->add();
   }
   if (trace_)
     obs::emit(trace_, sim_.now(), "broker.batch_flush",
-              {{"group", std::string_view(group)},
-               {"jobs", jobs.size()},
+              {{"group", std::string_view(b.group)},
+               {"jobs", n},
                {"sealed", sealed}});
 
   // Round-robin the batch over `lanes` sequential chains: lane l runs jobs
   // l, l+lanes, l+2*lanes, ... back to back, so every job after the first
   // in its lane finds the warm instances its predecessor just released.
-  const std::size_t lanes = std::min(cfg_.lanes, jobs.size());
-  std::vector<std::shared_ptr<std::vector<Job>>> lane_jobs;
-  lane_jobs.reserve(lanes);
-  for (std::size_t l = 0; l < lanes; ++l)
-    lane_jobs.push_back(std::make_shared<std::vector<Job>>());
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    lane_jobs[i % lanes]->push_back(std::move(jobs[i]));
-  for (std::size_t l = 0; l < lanes; ++l) run_lane(lane_jobs[l], 0);
+  const std::size_t lanes = std::min(cfg_.lanes, n);
+  b.running = lanes;
+  for (std::size_t l = 0; l < lanes; ++l) start({id, l});
 }
 
-void BatchDispatcher::run_lane(std::shared_ptr<std::vector<Job>> lane,
-                               std::size_t next) {
-  if (next >= lane->size()) return;
-  Job& job = (*lane)[next];
-  job([this, lane = std::move(lane), next]() mutable {
-    run_lane(std::move(lane), next + 1);
-  });
+void BatchDispatcher::start(Lane lane) {
+  // Move the job out first: it may complete (and chain) before returning.
+  Job job = std::move(released_.at(lane.batch).jobs[lane.job]);
+  job(lane);
+}
+
+void BatchDispatcher::complete(Lane lane) {
+  const auto it = released_.find(lane.batch);
+  NTCO_EXPECTS(it != released_.end());
+  Released& b = it->second;
+  const std::size_t next = lane.job + std::min(cfg_.lanes, b.jobs.size());
+  if (next < b.jobs.size())
+    start({lane.batch, next});
+  else if (--b.running == 0)
+    released_.erase(it);
 }
 
 }  // namespace ntco::broker

@@ -65,96 +65,74 @@ Duration Broker::admission_estimate(const app::TaskGraph& g,
   return transfer + service;
 }
 
-void Broker::serve(ServeRequest req,
-                   // ntco-lint: allow(R6) type-erased API boundary: the callback is bound once per request, off the decision fast path
-                   std::function<void(const ServeOutcome&)> done) {
+void Broker::serve(ServeRequest req, ServeCallback done) {
   NTCO_EXPECTS(req.app != nullptr);
   NTCO_EXPECTS(req.battery >= 0.0 && req.battery <= 1.0);
   NTCO_EXPECTS(req.bandwidth_scale > 0.0);
   NTCO_EXPECTS(!req.slack.is_negative());
   ++stats_.requests;
   if (m_.requests) m_.requests->add();
-  attempt(std::move(req), sim_.now(), 0, std::move(done), /*is_retry=*/false);
+  if (free_requests_ == nullptr) free_requests_ = &requests_.emplace_back();  // ntco-lint: allow(R6) record pool grows only past its high-water mark of in-flight requests; freed records are reused
+  Request* rec = std::exchange(free_requests_, free_requests_->next_free);
+  ++live_requests_;
+  *rec = {.req = req, .released = sim_.now(), .done = std::move(done)};
+  attempt(rec);
 }
 
-void Broker::attempt(ServeRequest req, TimePoint released,
-                     std::uint64_t deferrals,
-                     // ntco-lint: allow(R6) completion callback threaded through by move, no rebinding per hop
-                     std::function<void(const ServeOutcome&)> done,
-                     bool is_retry) {
-  if (is_retry) admission_.retry_resolved();
-  const TimePoint now = sim_.now();
-  const TimePoint deadline = released + req.slack;
+void Broker::attempt(Request* rec) {
   const AdmissionDecision d = admission_.decide(
-      now, deadline, admission_estimate(*req.app, req.bandwidth_scale));
+      sim_.now(), rec->released + rec->req.slack,
+      admission_estimate(*rec->req.app, rec->req.bandwidth_scale));
 
-  switch (d.verdict) {
-    case AdmissionVerdict::Admitted:
-      decide_and_dispatch(std::move(req), released, deferrals,
-                          std::move(done));
-      return;
-    case AdmissionVerdict::Deferred:
-      // ntco-lint: allow(R9) deferral retry handler: runs on the admission backoff path, heap fallback is acceptable there
-      sim_.schedule_at(d.retry_at, [this, req = std::move(req), released,
-                                    deferrals,
-                                    done = std::move(done)]() mutable {
-        attempt(std::move(req), released, deferrals + 1, std::move(done),
-                /*is_retry=*/true);
-      });
-      return;
-    case AdmissionVerdict::Shed: {
-      ++stats_.shed;
-      ServeOutcome out;
-      out.status = ServeStatus::Shed;
-      out.shed_reason = d.reason;
-      out.released = released;
-      out.finished = now;
-      out.deferrals = deferrals;
-      if (done) done(out);
-      return;
-    }
+  if (d.verdict == AdmissionVerdict::Admitted) {
+    decide_and_dispatch(rec);
+  } else if (d.verdict == AdmissionVerdict::Deferred) {
+    sim_.schedule_at(d.retry_at, [this, rec] {
+      admission_.retry_resolved();
+      ++rec->deferrals;
+      attempt(rec);
+    });
+  } else {
+    ++stats_.shed;
+    finish(rec, {.status = ServeStatus::Shed, .shed_reason = d.reason});
   }
 }
 
-void Broker::decide_and_dispatch(ServeRequest req, TimePoint released,
-                                 std::uint64_t deferrals,
-                                 // ntco-lint: allow(R6) completion callback arrives by move from attempt(), no fresh binding
-                                 std::function<void(const ServeOutcome&)> done) {
-  const app::TaskGraph& g = *req.app;
+void Broker::decide_and_dispatch(Request* rec) {
+  const app::TaskGraph& g = *rec->req.app;
   const TimePoint now = sim_.now();
 
   // The user's link quality perturbs the nominal planning environment;
   // that perturbed environment is both what the partitioner sees and what
   // the cache key quantizes.
   partition::Environment env = controller_.make_environment(g);
-  env.uplink = env.uplink * req.bandwidth_scale;
-  env.downlink = env.downlink * req.bandwidth_scale;
+  env.uplink = env.uplink * rec->req.bandwidth_scale;
+  env.downlink = env.downlink * rec->req.bandwidth_scale;
 
   DecisionContext ctx;
   ctx.workload = g.name();
   ctx.uplink = env.uplink;
   ctx.rtt = env.uplink_latency + env.downlink_latency;
-  ctx.battery = req.battery;
+  ctx.battery = rec->req.battery;
   ctx.hour = static_cast<int>(
       (now.since_origin().count_micros() / 3'600'000'000LL) % 24);
 
   // Plans are immutable and shared: a cache hit hands the execution path a
   // reference to the cached plan, which outlives any later eviction.
-  std::shared_ptr<const core::DeploymentPlan> plan;
-  bool hit = false;
-  bool heuristic = false;
+  std::shared_ptr<const core::DeploymentPlan>& plan = rec->plan;
   if (cfg_.cache_enabled) {
     plan = cache_.lookup(ctx, now);
-    hit = plan != nullptr;
+    rec->hit = plan != nullptr;
   }
   if (plan == nullptr && cfg_.two_stage_enabled) {
     // Stage 1: answer the miss *now* with the cheap heuristic placement
     // and let the exact solver catch up in the background. The heuristic
     // plan is deliberately not cached — the cache only ever publishes
     // exact plans, so a bucket's quality ratchets up, never down.
+    const partition::Partitioner* h = cfg_.heuristic_partitioner;
     core::DeploymentPlan fast =
-        controller_.prepare(g, stage1_partitioner(), env);
-    heuristic = true;
+        controller_.prepare(g, h != nullptr ? *h : all_remote_, env);
+    rec->heuristic = true;
     ++twostage_.fast_serves;
     if (m_.fast_serves) m_.fast_serves->add();
     if (trace_)
@@ -169,83 +147,69 @@ void Broker::decide_and_dispatch(ServeRequest req, TimePoint released,
     if (cfg_.cache_enabled) cache_.insert(ctx, plan, now);  // ntco-lint: allow(R6) cache-miss path only: one insert per newly planned workload
   }
 
-  const Duration decision =
-      hit ? cfg_.hit_cost
-      : heuristic
+  rec->decision =
+      rec->hit ? cfg_.hit_cost
+      : rec->heuristic
           ? cfg_.heuristic_cost
           : cfg_.plan_cost_base +
                 cfg_.plan_cost_per_component *
                     static_cast<double>(g.component_count());
   if (m_.decision_us)
-    m_.decision_us->add(static_cast<double>(decision.count_micros()));
+    m_.decision_us->add(static_cast<double>(rec->decision.count_micros()));
 
   // The decision itself takes simulated time; dispatch resumes after it.
-  // ntco-lint: allow(R9) dispatch continuation carries the plan handle and completion callback; deliberate heap fallback
-  sim_.schedule_after(decision, [this, req = std::move(req), released,
-                                 deferrals, plan = std::move(plan), hit,
-                                 heuristic, decision,
-                                 done = std::move(done)]() mutable {
-    const app::TaskGraph& truth = *req.app;
-    const TimePoint resumed = sim_.now();
-    const TimePoint deadline = released + req.slack;
-    const Duration slack_left =
-        deadline > resumed ? deadline - resumed : Duration::zero();
-    const sched::DeferredJob job{truth.name(), truth.total_work(), slack_left};
-    const Duration est = plan->predicted.latency;
-    const TimePoint start = scheduler_.plan_start(resumed, job, est);
+  sim_.schedule_after(rec->decision, [this, rec] { dispatch(rec); });
+}
 
-    BatchDispatcher::Job run =
-        [this, plan, truth_ptr = req.app, released, hit, heuristic, decision,
-         deferrals,
-         // ntco-lint: allow(R6) batch completion hook: bound once per dispatched job
-         done = std::move(done)](std::function<void()> batch_done) mutable {
-          controller_.execute_async(
-              *plan, *truth_ptr,
-              [this, plan, released, hit, heuristic, decision, deferrals,
-               done = std::move(done), batch_done = std::move(batch_done)](
-                  const core::ExecutionReport& r) mutable {
-                ServeOutcome out;
-                out.status = r.failed ? ServeStatus::Failed
-                                      : ServeStatus::Completed;
-                out.cache_hit = hit;
-                out.heuristic_serve = heuristic;
-                out.decision_latency = decision;
-                out.released = released;
-                out.finished = sim_.now();
-                out.deferrals = deferrals;
-                out.report = r;
-                if (r.failed) {
-                  ++stats_.failed;
-                  if (m_.failed) m_.failed->add();
-                } else {
-                  ++stats_.completed;
-                  if (m_.completed) m_.completed->add();
-                }
-                if (m_.job_cost_usd)
-                  m_.job_cost_usd->add(r.cloud_cost.to_usd());
-                if (m_.completion_s)
-                  m_.completion_s->add((out.finished - released).to_seconds());
-                if (batch_done) batch_done();
-                if (done) done(out);
-              });
-        };
+void Broker::dispatch(Request* rec) {
+  const app::TaskGraph& truth = *rec->req.app;
+  const TimePoint resumed = sim_.now();
+  const TimePoint deadline = rec->released + rec->req.slack;
+  const Duration slack_left =
+      deadline > resumed ? deadline - resumed : Duration::zero();
+  const sched::DeferredJob job{truth.name(), truth.total_work(), slack_left};
+  const Duration est = rec->plan->predicted.latency;
+  const TimePoint start = scheduler_.plan_start(resumed, job, est);
+  if (!cfg_.batching_enabled) {
+    sim_.schedule_at(std::max(start, resumed), [this, rec] { execute(rec); });
+    return;
+  }
+  dispatcher_.enqueue(truth.name(), start,
+                      scheduler_.latest_start(resumed, job, est),
+                      [this, rec](BatchDispatcher::Lane lane) {
+                        rec->lane = lane;
+                        execute(rec);
+                      });
+}
 
-    if (cfg_.batching_enabled) {
-      // Align the start up to the batch grid so compatible users flush
-      // together, but never past the latest deadline-safe start.
-      const TimePoint latest = scheduler_.latest_start(resumed, job, est);
-      const std::int64_t grid = cfg_.batch.interval.count_micros();
-      const std::int64_t s = start.since_origin().count_micros();
-      TimePoint flush_at =
-          TimePoint::at(Duration::micros((s + grid - 1) / grid * grid));
-      if (flush_at > latest) flush_at = latest;
-      if (flush_at < start) flush_at = start;
-      dispatcher_.enqueue(truth.name(), flush_at, std::move(run));
-    } else {
-      sim_.schedule_at(std::max(start, resumed),
-                       [run = std::move(run)]() mutable { run([] {}); });
-    }
-  });
+void Broker::execute(Request* rec) {
+  controller_.execute_async(
+      *rec->plan, *rec->req.app, [this, rec](const core::ExecutionReport& r) {
+        ++(r.failed ? stats_.failed : stats_.completed);
+        if (obs::Counter* c = r.failed ? m_.failed : m_.completed) c->add();
+        if (m_.job_cost_usd) m_.job_cost_usd->add(r.cloud_cost.to_usd());
+        if (m_.completion_s)
+          m_.completion_s->add((sim_.now() - rec->released).to_seconds());
+        // The lane's successor starts before the user hears back.
+        if (cfg_.batching_enabled) dispatcher_.complete(rec->lane);
+        finish(rec, {.status = r.failed ? ServeStatus::Failed
+                                        : ServeStatus::Completed,
+                     .report = r});
+      });
+}
+
+void Broker::finish(Request* rec, ServeOutcome out) {
+  NTCO_EXPECTS(live_requests_ > 0);
+  --live_requests_;
+  out.cache_hit = rec->hit;
+  out.heuristic_serve = rec->heuristic;
+  out.decision_latency = rec->decision;
+  out.released = rec->released;
+  out.finished = sim_.now();
+  out.deferrals = rec->deferrals;
+  const Request last = std::exchange(*rec, Request{});
+  rec->next_free = std::exchange(free_requests_, rec);
+  if (last.done) last.done(out);
 }
 
 void Broker::schedule_exact_resolve(const DecisionContext& ctx,

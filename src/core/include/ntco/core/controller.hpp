@@ -213,6 +213,7 @@ class OffloadController {
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
 
  private:
+  struct Run;
   struct RunState;
   struct RadioResult {
     bool ok = true;
@@ -236,6 +237,8 @@ class OffloadController {
   void par_maybe_finish(const std::shared_ptr<ParallelRun>& run);
 
   void observe_run_end(const ExecutionReport& r);
+  /// The one exit of every run: observes its end, then fires its `done`.
+  void finish(Run& run);
 
   /// Cached instrument pointers; null when no registry is attached.
   struct Instruments {

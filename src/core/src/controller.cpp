@@ -190,15 +190,24 @@ DataSize OffloadController::function_memory(const app::Component& comp,
   return chosen;
 }
 
-/// Per-execution state threaded through the event chain.
-struct OffloadController::RunState {
+/// State every execution mode threads through its event chain.
+struct OffloadController::Run {
   const DeploymentPlan* plan = nullptr;
   const app::TaskGraph* truth = nullptr;
-  std::vector<app::ComponentId> order;
-  std::size_t next = 0;
   TimePoint begin;
   ExecutionReport report;
   std::function<void(const ExecutionReport&)> done;
+};
+
+void OffloadController::finish(Run& run) {
+  observe_run_end(run.report);
+  run.done(run.report);
+}
+
+/// Per-execution state of the sequential executor.
+struct OffloadController::RunState : Run {
+  std::vector<app::ComponentId> order;
+  std::size_t next = 0;
   /// Where each already-executed component actually ran (differs from the
   /// plan after an upload-failure fallback).
   std::vector<bool> ran_remote;
@@ -242,13 +251,7 @@ OffloadController::RadioResult OffloadController::radio_with_retries(
 }
 
 /// Per-execution state of the dataflow (parallel) executor.
-struct OffloadController::ParallelRun {
-  const DeploymentPlan* plan = nullptr;
-  const app::TaskGraph* truth = nullptr;
-  TimePoint begin;
-  ExecutionReport report;
-  std::function<void(const ExecutionReport&)> done;
-
+struct OffloadController::ParallelRun : Run {
   std::vector<std::size_t> pending_inputs;  ///< undelivered in-flows per comp
   std::size_t remaining = 0;                ///< components not yet finished
   bool finished = false;  ///< done() already fired (success or failure)
@@ -270,12 +273,6 @@ void OffloadController::execute_async(
                {"mode", sequential ? "sequential" : "parallel"},
                {"components", truth.component_count()},
                {"remote", plan.partition.remote_count()}});
-  if (trace_ != nullptr || m_.runs != nullptr) {
-    done = [this, inner = std::move(done)](const ExecutionReport& r) {
-      observe_run_end(r);
-      inner(r);
-    };
-  }
   if (cfg_.execution_mode == ExecutionMode::Sequential) {
     auto run = std::make_shared<RunState>();
     run->plan = &plan;
@@ -364,6 +361,9 @@ void OffloadController::par_component_done(std::shared_ptr<ParallelRun> run,
 
 void OffloadController::par_deliver_flow(std::shared_ptr<ParallelRun> run,
                                          std::size_t flow) {
+  // A failed run ignores stragglers; its caller may already have released
+  // the plan.
+  if (run->finished) return;
   const auto& f = run->truth->flow(flow);
   const bool from_remote = run->plan->is_remote(f.from);
   const bool to_remote = run->plan->is_remote(f.to);
@@ -373,8 +373,6 @@ void OffloadController::par_deliver_flow(std::shared_ptr<ParallelRun> run,
     NTCO_EXPECTS(r->pending_inputs[to] > 0);
     if (--r->pending_inputs[to] == 0) par_component_ready(std::move(r), to);
   };
-
-  if (run->finished) return;  // a failed run ignores stragglers
 
   if (from_remote == to_remote) {
     // Same side: in-process (local) or intra-region (remote), free.
@@ -394,7 +392,7 @@ void OffloadController::par_deliver_flow(std::shared_ptr<ParallelRun> run,
     run->finished = true;
     run->report.failed = true;
     run->report.makespan = (sim_.now() + t) - run->begin;
-    run->done(run->report);
+    finish(*run);
     return;
   }
   TimePoint& direction_free = upload ? run->uplink_free : run->downlink_free;
@@ -423,13 +421,13 @@ void OffloadController::par_maybe_finish(
   const Duration idle = run->report.makespan - run->report.local_compute;
   if (idle > Duration::zero())
     run->report.device_energy += device_.idle_energy(idle);
-  run->done(run->report);
+  finish(*run);
 }
 
 void OffloadController::step(std::shared_ptr<RunState> run) {
   if (run->next == run->order.size()) {
     run->report.makespan = sim_.now() - run->begin;
-    run->done(run->report);
+    finish(*run);
     return;
   }
 
@@ -475,7 +473,7 @@ void OffloadController::step(std::shared_ptr<RunState> run) {
       if (!r.ok) {
         run->report.failed = true;
         run->report.makespan = (sim_.now() + transfer) - run->begin;
-        run->done(run->report);
+        finish(*run);
         return;
       }
       run->report.cloud_cost +=

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -13,6 +14,7 @@
 #include "ntco/common/contracts.hpp"
 #include "ntco/common/rng.hpp"
 #include "ntco/fleet/replicator.hpp"
+#include "ntco/net/flaky_link.hpp"
 #include "ntco/net/path.hpp"
 
 // Suite names start with "Broker" so tools/ci.sh can rerun exactly these
@@ -499,9 +501,9 @@ TEST(BrokerBatch, FlushesAtTheAlignedInstant) {
   const TimePoint at = TimePoint::at(Duration::minutes(10));
   std::vector<Duration> ran_at;
   for (int i = 0; i < 3; ++i)
-    d.enqueue("g", at, [&](std::function<void()> done) {
+    d.enqueue("g", at, at, [&](BatchDispatcher::Lane lane) {
       ran_at.push_back(sim.now().since_origin());
-      done();
+      d.complete(lane);
     });
   EXPECT_EQ(d.open_batches(), 1u);
   sim.run();
@@ -520,9 +522,9 @@ TEST(BrokerBatch, SealedBatchKeepsItsFlushInstant) {
   const TimePoint at = TimePoint::at(Duration::minutes(10));
   std::vector<Duration> ran_at;
   for (int i = 0; i < 3; ++i)
-    d.enqueue("g", at, [&](std::function<void()> done) {
+    d.enqueue("g", at, at, [&](BatchDispatcher::Lane lane) {
       ran_at.push_back(sim.now().since_origin());
-      done();
+      d.complete(lane);
     });
   sim.run();
   // The first two sealed the batch, the third re-opened the key — but
@@ -533,6 +535,33 @@ TEST(BrokerBatch, SealedBatchKeepsItsFlushInstant) {
   EXPECT_EQ(d.stats().sealed, 1u);
 }
 
+TEST(BrokerBatch, AlignsTheFlushToTheGridWithinTheDeadline) {
+  sim::Simulator sim;
+  BatchDispatcher d(sim, {});  // 10-minute grid
+  const auto at = [](int minutes) {
+    return TimePoint::at(Duration::minutes(minutes));
+  };
+  // (earliest, latest) -> flush instant, one group each.
+  const std::vector<std::pair<std::pair<int, int>, int>> cases = {
+      {{3, 60}, 10},   // rounded up to the grid
+      {{20, 60}, 20},  // already on the grid
+      {{3, 7}, 7},     // the grid point would miss the deadline-safe start
+      {{13, 7}, 13},   // a tight job never starts before its earliest
+  };
+  std::vector<Duration> ran_at(cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [window, expect] = cases[i];
+    d.enqueue("g" + std::to_string(i), at(window.first), at(window.second),
+              [&, i](BatchDispatcher::Lane lane) {
+                ran_at[i] = sim.now().since_origin();
+                d.complete(lane);
+              });
+  }
+  sim.run();
+  for (std::size_t i = 0; i < cases.size(); ++i)
+    EXPECT_EQ(ran_at[i], Duration::minutes(cases[i].second)) << "case " << i;
+}
+
 TEST(BrokerBatch, LanesChainOnCompletion) {
   sim::Simulator sim;
   BatchConfig cfg;
@@ -541,12 +570,12 @@ TEST(BrokerBatch, LanesChainOnCompletion) {
   const TimePoint at = TimePoint::at(Duration::minutes(10));
   std::vector<std::pair<int, Duration>> runs;
   for (int i = 0; i < 3; ++i)
-    d.enqueue("g", at, [&, i](std::function<void()> done) {
+    d.enqueue("g", at, at, [&, i](BatchDispatcher::Lane lane) {
       runs.emplace_back(i, sim.now().since_origin());
       // Each job takes one simulated second; the lane's successor must not
       // start before it completed.
       sim.schedule_after(Duration::seconds(1),
-                         [done = std::move(done)] { done(); });
+                         [&d, lane] { d.complete(lane); });
     });
   sim.run();
   ASSERT_EQ(runs.size(), 3u);
@@ -569,13 +598,176 @@ struct ServeFixture {
   partition::MinCutPartitioner mincut;
   Broker broker;
 
-  explicit ServeFixture(BrokerConfig cfg = {})
+  explicit ServeFixture(
+      BrokerConfig cfg = {},
+      net::NetworkPath p = net::make_fixed_path(net::profile_wifi()))
       : platform(sim, {}),
         ue(device::budget_phone()),
-        path(net::make_fixed_path(net::profile_wifi())),
+        path(std::move(p)),
         controller(sim, platform, ue, path, {}),
         broker(sim, platform, controller, mincut, std::move(cfg)) {}
 };
+
+/// Hands out one tracked callback per request and, once the simulator has
+/// drained, checks the broker's per-request ledger: every callback fired
+/// exactly once, every request is accounted for, the outcomes' deferrals
+/// add up to the retries admission quoted, and no request record is left.
+struct Lifecycle {
+  std::vector<int> fired;
+  std::vector<ServeOutcome> outcomes;
+
+  ServeCallback track() {
+    const std::size_t i = fired.size();
+    fired.push_back(0);
+    outcomes.emplace_back();
+    return [this, i](const ServeOutcome& o) {
+      ++fired[i];
+      outcomes[i] = o;
+    };
+  }
+
+  void check(const Broker& b) const {
+    for (std::size_t i = 0; i < fired.size(); ++i)
+      EXPECT_EQ(fired[i], 1) << "request " << i;
+    const BrokerStats& s = b.stats();
+    EXPECT_EQ(s.requests, fired.size());
+    EXPECT_EQ(s.requests, s.completed + s.failed + s.shed);
+    std::uint64_t deferrals = 0;
+    for (const ServeOutcome& o : outcomes) deferrals += o.deferrals;
+    EXPECT_EQ(deferrals, b.admission().stats().deferrals);
+    EXPECT_EQ(b.live_requests(), 0u);
+  }
+};
+
+TEST(BrokerServe, LifecycleShedUpfront) {
+  ServeFixture fx;
+  const auto g = app::workloads::photo_backup();
+  Lifecycle life;
+  ServeRequest req;
+  req.app = &g;
+  req.slack = Duration::zero();  // no transfer or service time fits
+  fx.broker.serve(req, life.track());
+  // Shed upfront: the outcome fired inside serve() and the record is free.
+  EXPECT_EQ(fx.broker.live_requests(), 0u);
+  fx.sim.run();
+  life.check(fx.broker);
+  EXPECT_EQ(life.outcomes[0].status, ServeStatus::Shed);
+  EXPECT_EQ(life.outcomes[0].shed_reason, ShedReason::DeadlineTooTight);
+  EXPECT_EQ(life.outcomes[0].deferrals, 0u);
+  EXPECT_EQ(life.outcomes[0].finished, life.outcomes[0].released);
+}
+
+TEST(BrokerServe, LifecycleDeferredThenCompleted) {
+  BrokerConfig cfg;
+  cfg.admission.rate_per_second = 1.0;
+  cfg.admission.burst = 1.0;
+  cfg.admission.min_defer = Duration::minutes(5);
+  ServeFixture fx(cfg);
+  const auto g = app::workloads::photo_backup();
+  Lifecycle life;
+  ServeRequest req;
+  req.app = &g;
+  for (int i = 0; i < 3; ++i) fx.broker.serve(req, life.track());
+  EXPECT_EQ(fx.broker.live_requests(), 3u);
+  fx.sim.run();
+  life.check(fx.broker);
+  EXPECT_EQ(life.outcomes[0].deferrals, 0u);  // took the only token
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_EQ(life.outcomes[i].status, ServeStatus::Completed);
+    EXPECT_GE(life.outcomes[i].deferrals, 1u);
+    EXPECT_GE(life.outcomes[i].finished - life.outcomes[i].released,
+              cfg.admission.min_defer);
+  }
+}
+
+TEST(BrokerServe, LifecycleFailedOnLossyLink) {
+  // Every download fails: results computed in the cloud are stranded, so
+  // each run aborts — and still reports exactly once.
+  const auto p = net::profile_wifi();
+  net::NetworkPath lossy(
+      "lossy-wifi",
+      std::make_unique<net::FixedLink>(p.one_way_latency, p.uplink),
+      std::make_unique<net::FlakyLink>(
+          std::make_unique<net::FixedLink>(p.one_way_latency, p.downlink),
+          1.0, Duration::seconds(2), Rng(5)));
+  ServeFixture fx({}, std::move(lossy));
+  const auto g = app::workloads::ml_batch_training();
+  Lifecycle life;
+  ServeRequest req;
+  req.app = &g;
+  for (int i = 0; i < 3; ++i) fx.broker.serve(req, life.track());
+  fx.sim.run();
+  life.check(fx.broker);
+  EXPECT_EQ(fx.broker.stats().failed, 3u);
+  for (const ServeOutcome& o : life.outcomes) {
+    EXPECT_EQ(o.status, ServeStatus::Failed);
+    EXPECT_TRUE(o.report.failed);
+  }
+}
+
+TEST(BrokerServe, LifecycleCompletedWithAndWithoutBatching) {
+  for (const bool batching : {true, false}) {
+    BrokerConfig cfg;
+    cfg.batching_enabled = batching;
+    ServeFixture fx(cfg);
+    const auto graphs = app::workloads::all();
+    Lifecycle life;
+    for (const auto& g : graphs) {
+      ServeRequest req;
+      req.app = &g;
+      fx.broker.serve(req, life.track());
+      fx.broker.serve(req, life.track());
+    }
+    fx.sim.run();
+    life.check(fx.broker);
+    EXPECT_EQ(fx.broker.stats().completed, 2 * graphs.size());
+    EXPECT_EQ(fx.broker.dispatcher().stats().jobs_dispatched,
+              batching ? 2 * graphs.size() : 0u);
+  }
+}
+
+/// Counts controller run starts, to observe when a lane successor starts.
+struct RunStarts final : obs::TraceSink {
+  std::size_t n = 0;
+  void record(const obs::TraceEvent& ev) override {
+    if (ev.name == "ctl.run.begin") ++n;
+  }
+};
+
+TEST(BrokerServe, LifecycleOneLaneChainsEveryJob) {
+  BrokerConfig cfg;
+  cfg.batch.lanes = 1;
+  ServeFixture fx(cfg);
+  RunStarts starts;
+  fx.controller.attach_observer(&starts, nullptr);
+  const auto g = app::workloads::photo_backup();
+  constexpr std::size_t kJobs = 4;
+  Lifecycle life;
+  std::vector<std::size_t> started_at_outcome;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    ServeRequest req;
+    req.app = &g;
+    fx.broker.serve(req, [&, cb = life.track()](const ServeOutcome& o) {
+      started_at_outcome.push_back(starts.n);
+      cb(o);
+    });
+  }
+  fx.sim.run();
+  life.check(fx.broker);
+  EXPECT_EQ(fx.broker.dispatcher().stats().batches, 1u);
+  EXPECT_EQ(fx.broker.dispatcher().stats().jobs_dispatched, kJobs);
+  // One chain: the k-th outcome fires after its successor already started.
+  ASSERT_EQ(started_at_outcome.size(), kJobs);
+  for (std::size_t k = 0; k < kJobs; ++k)
+    EXPECT_EQ(started_at_outcome[k], std::min(k + 2, kJobs));
+  // ... and no job started before its predecessor finished.
+  std::vector<std::pair<TimePoint, TimePoint>> runs;
+  for (const ServeOutcome& o : life.outcomes)
+    runs.emplace_back(o.finished - o.report.makespan, o.finished);
+  std::sort(runs.begin(), runs.end());
+  for (std::size_t k = 1; k < kJobs; ++k)
+    EXPECT_GE(runs[k].first, runs[k - 1].second);
+}
 
 TEST(BrokerServe, CompletesAndCachesAcrossUsers) {
   ServeFixture fx;
