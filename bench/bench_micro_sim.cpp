@@ -16,6 +16,7 @@
 
 #include "micro_main.hpp"
 #include "ntco/obs/trace.hpp"
+#include "ntco/sim/boxed.hpp"
 #include "ntco/sim/simulator.hpp"
 
 namespace {
@@ -40,8 +41,9 @@ void BM_ScheduleAndRun_Small(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleAndRun_Small)->Arg(1024)->Arg(8192);
 
-// Big capture: 64 bytes of payload defeats the small-buffer optimisation,
-// so this pins the cost of the heap-fallback path per event.
+// Big capture: 64 bytes of payload does not fit the inline buffer, so the
+// handler opts out through sim::boxed; this pins the cost of that
+// heap-fallback path per event.
 void BM_ScheduleAndRun_Big(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   struct Payload {
@@ -55,7 +57,7 @@ void BM_ScheduleAndRun_Big(benchmark::State& state) {
       p.data[0] = i;
       sim.schedule_at(TimePoint::at(Duration::micros(
                           static_cast<std::int64_t>(i))),
-                      [&acc, p] { acc += p.data[0]; });
+                      sim::boxed([&acc, p] { acc += p.data[0]; }));
     }
     sim.run();
     benchmark::DoNotOptimize(acc);

@@ -48,9 +48,18 @@ DayResult run_day(sched::UploadPlanner::Policy policy) {
   ucfg.policy = policy;
   const sched::UploadPlanner planner(schedule, phone.spec(), ucfg);
 
-  DayResult day;
-  int completed = 0;
-  double completion_min_sum = 0.0;
+  // Everything the day's handlers touch, so each captures one pointer
+  // (kernel handlers must fit the simulator's inline buffer).
+  struct Day {
+    sim::Simulator& sim;
+    core::OffloadController& controller;
+    const core::DeploymentPlan& plan;
+    const app::TaskGraph& app;
+    const sched::UploadPlanner& planner;
+    DayResult result{};
+    int completed = 0;
+    double completion_min_sum = 0.0;
+  } day{sim, controller, plan, app, planner};
 
   // 16 photo batches through the day (07:00-22:30, every hour), each with
   // 6 h of slack on its boundary upload.
@@ -58,29 +67,30 @@ DayResult run_day(sched::UploadPlanner::Policy policy) {
     const auto release =
         TimePoint::origin() +
         Duration::from_seconds((7.0 + static_cast<double>(i)) * 3600.0);
-    sim.schedule_at(release, [&, release] {
+    sim.schedule_at(release, [d = &day, release] {
       // Plan the (4 MB raw-photo) upload within its slack...
-      const auto decision = planner.plan(
+      const auto decision = d->planner.plan(
           release, sched::UploadJob{"batch", DataSize::megabytes(4),
                                     Duration::hours(6)});
-      day.cellular_spend += decision.data_cost;
+      d->result.cellular_spend += decision.data_cost;
       // ...then run the full pipeline at the planned start, over whatever
       // network the schedule provides then.
-      sim.schedule_at(decision.start, [&, release] {
-        controller.execute_async(
-            plan, app, [&, release](const core::ExecutionReport& r) {
-              day.cloud_spend += r.cloud_cost;
-              day.battery += r.device_energy;
+      d->sim.schedule_at(decision.start, [d, release] {
+        d->controller.execute_async(
+            d->plan, d->app, [d, release](const core::ExecutionReport& r) {
+              d->result.cloud_spend += r.cloud_cost;
+              d->result.battery += r.device_energy;
               // Release-to-finish latency includes any WiFi-wait deferral.
-              completion_min_sum += (sim.now() - release).to_seconds() / 60.0;
-              ++completed;
+              d->completion_min_sum +=
+                  (d->sim.now() - release).to_seconds() / 60.0;
+              ++d->completed;
             });
       });
     });
   }
   sim.run();
-  day.mean_completion_min = completion_min_sum / completed;
-  return day;
+  day.result.mean_completion_min = day.completion_min_sum / day.completed;
+  return day.result;
 }
 
 }  // namespace

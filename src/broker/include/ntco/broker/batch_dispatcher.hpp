@@ -115,7 +115,9 @@ class BatchDispatcher {
     std::size_t running = 0;  ///< lane chains not yet ended
   };
 
-  void flush(const Key& key);
+  using PendingMap = std::map<Key, Pending>;
+
+  void flush(PendingMap::iterator pos);
   void release(std::uint64_t id, bool sealed);
   void start(Lane lane);
 
@@ -127,7 +129,7 @@ class BatchDispatcher {
 
   sim::Simulator& sim_;
   BatchConfig cfg_;
-  std::map<Key, Pending> pending_;
+  PendingMap pending_;
   std::map<std::uint64_t, Released> released_;
   std::uint64_t next_released_ = 0;
   BatchStats stats_;

@@ -3,8 +3,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
-#include <set>
 
 #include "ntco/app/task_graph.hpp"
 #include "ntco/broker/admission.hpp"
@@ -240,6 +240,14 @@ class Broker {
   [[nodiscard]] Duration admission_estimate(const app::TaskGraph& g,
                                             double bandwidth_scale) const;
 
+  /// Inputs of one in-flight stage-2 exact solve, kept in resolving_.
+  struct Resolve {
+    DecisionContext ctx;
+    const app::TaskGraph* graph = nullptr;
+    partition::Environment env;
+    partition::Partition heuristic;
+  };
+
   /// Kicks off the asynchronous stage-2 exact solve for `ctx`'s bucket
   /// unless one is already in flight there.
   void schedule_exact_resolve(const DecisionContext& ctx,
@@ -271,9 +279,10 @@ class Broker {
   partition::RemoteAllPartitioner all_remote_;
   const dataplane::BackpressureSource* backpressure_ = nullptr;
   /// Buckets with an exact solve in flight (stage-2 dedup): a burst of
-  /// same-bucket misses triggers one solver run, not a storm. std::set
-  /// for deterministic iteration (lint R2).
-  std::set<PlanKey> resolving_;
+  /// same-bucket misses triggers one solver run, not a storm. Each node
+  /// holds its resolve's inputs until the solve fires. std::map for
+  /// deterministic iteration (lint R2).
+  std::map<PlanKey, Resolve> resolving_;
   /// Request-record pool: deque addresses are stable, freed records are
   /// reused through an intrusive free list.
   std::deque<Request> requests_;

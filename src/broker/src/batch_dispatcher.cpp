@@ -36,11 +36,13 @@ void BatchDispatcher::enqueue(const std::string& group, TimePoint earliest,
       TimePoint::at(Duration::micros((s + grid - 1) / grid * grid));
   const TimePoint at =
       std::max(std::max(std::min(aligned, latest), earliest), sim_.now());
-  const Key key{group, at.since_origin().count_micros()};
-  auto [it, inserted] = pending_.try_emplace(key);
+  auto [it, inserted] =
+      pending_.try_emplace(Key{group, at.since_origin().count_micros()});
   Pending& batch = it->second;
+  // std::map nodes are stable, so the flush handler holds the node's
+  // iterator rather than a copy of the group string.
   if (inserted)
-    batch.flush_event = sim_.schedule_at(at, [this, key] { flush(key); });
+    batch.flush_event = sim_.schedule_at(at, [this, pos = it] { flush(pos); });
   batch.jobs.push_back(std::move(job));
   if (batch.jobs.size() >= cfg_.max_batch) {
     // Seal: the batch stops growing but still flushes at its aligned
@@ -54,9 +56,8 @@ void BatchDispatcher::enqueue(const std::string& group, TimePoint earliest,
   }
 }
 
-void BatchDispatcher::flush(const Key& key) {
-  auto node = pending_.extract(key);
-  NTCO_EXPECTS(!node.empty());
+void BatchDispatcher::flush(PendingMap::iterator pos) {
+  auto node = pending_.extract(pos);
   const std::uint64_t id = next_released_++;
   released_.try_emplace(id, std::move(node.key().group),
                         std::move(node.mapped().jobs));

@@ -218,8 +218,9 @@ void Broker::schedule_exact_resolve(const DecisionContext& ctx,
                                     partition::Partition heuristic) {
   // One exact solve in flight per bucket: a burst of same-bucket misses
   // (the vehicular regime) triggers one solver run, not a storm.
-  PlanKey key = quantize(ctx, cfg_.cache);
-  if (!resolving_.insert(key).second) return;  // ntco-lint: allow(R6) stage-2 dedup set: one node per distinct in-flight bucket, off the fast answer path
+  auto [it, fresh] = resolving_.try_emplace(quantize(ctx, cfg_.cache));  // ntco-lint: allow(R6) stage-2 dedup map: one node per distinct in-flight bucket holds the resolve inputs, off the fast answer path
+  if (!fresh) return;
+  it->second = Resolve{ctx, &g, std::move(env), std::move(heuristic)};
 
   // Measured ring pressure stretches the resolve: saturated rings delay
   // refinement (stage 2), never the fast answer (stage 1).
@@ -232,24 +233,25 @@ void Broker::schedule_exact_resolve(const DecisionContext& ctx,
       cfg_.plan_cost_per_component * static_cast<double>(g.component_count());
   const Duration latency = solve * (1.0 + pressure);
 
-  sim_.schedule_after(latency, [this, key = std::move(key), ctx, g = &g,
-                                env = std::move(env),
-                                heuristic = std::move(heuristic)]() mutable {
-    resolving_.erase(key);
+  // std::map nodes are stable: the handler holds the node, not its inputs.
+  sim_.schedule_after(latency, [this, pos = it] {
+    auto node = resolving_.extract(pos);
+    const Resolve& r = node.mapped();
     const TimePoint now = sim_.now();
-    core::DeploymentPlan exact = controller_.prepare(*g, partitioner_, env);
-    const bool agreed = exact.partition == heuristic;
+    core::DeploymentPlan exact =
+        controller_.prepare(*r.graph, partitioner_, r.env);
+    const bool agreed = exact.partition == r.heuristic;
     ++twostage_.resolves;
     if (agreed) ++twostage_.agreements;
     if (m_.resolves) m_.resolves->add();
     if (agreed && m_.agreements) m_.agreements->add();
     if (trace_)
       obs::emit(trace_, now, "broker.twostage.resolve",
-                {{"workload", std::string_view(ctx.workload)},
+                {{"workload", std::string_view(r.ctx.workload)},
                  {"agreed", agreed}});
     // ntco-lint: allow(R6) stage-2 publication: one cache write per resolved bucket, off the serving path
-    cache_.insert(ctx, std::make_shared<const core::DeploymentPlan>(
-                           std::move(exact)),
+    cache_.insert(r.ctx, std::make_shared<const core::DeploymentPlan>(
+                             std::move(exact)),
                   now);
   });
 }

@@ -293,8 +293,8 @@ const Token kR6Alloc[] = {
 // R6: growth-prone container member ops (matched as `.op(` / `->op(`).
 const char* kR6Growth[] = {
     "push_back", "emplace_back", "push_front", "emplace_front",
-    "emplace",   "insert",       "resize",     "reserve",
-    "append",
+    "emplace",   "try_emplace",  "insert",     "resize",
+    "reserve",   "append",
 };
 
 // ---------------------------------------------------------------------------
@@ -361,35 +361,24 @@ std::string trailing_ident(const std::string& expr) {
 }
 
 // ---------------------------------------------------------------------------
-// R9 support: sizes of common capture types (x86-64 libstdc++ layouts) and
-// whether copying one allocates.
+// R9 support: capture types whose copy allocates.
 
-struct TypeInfo {
-  int size;
-  bool alloc_on_copy;
+const char* kR9Types[] = {
+    "std::string", "std::vector", "std::function", "std::deque",
+    "std::map",    "std::set",    "std::multiset", "std::multimap",
 };
 
-const std::pair<const char*, TypeInfo> kR9Types[] = {
-    {"std::string", {32, true}},     {"std::vector", {24, true}},
-    {"std::function", {32, true}},   {"std::deque", {80, true}},
-    {"std::map", {48, true}},        {"std::set", {48, true}},
-    {"std::multiset", {48, true}},   {"std::multimap", {48, true}},
-    {"std::shared_ptr", {16, false}}, {"std::weak_ptr", {16, false}},
-    {"std::unique_ptr", {8, false}},
-};
-
-// Map of variable name -> TypeInfo for every declaration in the file whose
-// type prefix is in kR9Types. Heuristic: find the type token, skip balanced
-// template args, skip cv/ref/ptr, take the identifier.
-std::map<std::string, TypeInfo> r9_var_types(
-    const std::vector<std::string>& code) {
-  std::map<std::string, TypeInfo> vars;
+// Names of every variable declared in the file with a kR9Types type.
+// Heuristic: find the type token, skip balanced template args, skip
+// cv/ref/ptr, take the identifier.
+std::set<std::string> r9_var_types(const std::vector<std::string>& code) {
+  std::set<std::string> vars;
   std::string all;
   for (const auto& l : code) {
     all += l;
     all += '\n';
   }
-  for (const auto& [pat_c, info] : kR9Types) {
+  for (const char* pat_c : kR9Types) {
     const std::string pat(pat_c);
     std::size_t pos = 0;
     while ((pos = all.find(pat, pos)) != std::string::npos) {
@@ -421,7 +410,7 @@ std::map<std::string, TypeInfo> r9_var_types(
       while (i < all.size() && is_ident(all[i])) name.push_back(all[i++]);
       if (!name.empty() &&
           std::isdigit(static_cast<unsigned char>(name[0])) == 0)
-        vars.emplace(name, info);
+        vars.insert(name);
     }
   }
   return vars;
@@ -930,12 +919,11 @@ std::vector<ObsUse> obs_call_sites(const std::vector<std::string>& raw,
 }
 
 // ---------------------------------------------------------------------------
-// R9: capture-list audit of kernel handler lambdas.
+// R9: copy-capture audit of kernel handler lambdas.
 
 void audit_handlers(const std::vector<std::string>& code,
-                    const std::map<std::string, TypeInfo>& vars,
+                    const std::set<std::string>& vars,
                     std::vector<Finding>* findings) {
-  constexpr int kSbo = 48;  // ntco::InlineFunction<void(), 48>
   for (std::size_t li = 0; li < code.size(); ++li) {
     const std::string& s = code[li];
     for (const char* entry : {"schedule_at", "schedule_after"}) {
@@ -947,14 +935,9 @@ void audit_handlers(const std::vector<std::string>& code,
         // looking for a lambda introducer: '[' at call depth whose previous
         // non-space char is '(' or ',' (rules out indexing and [[attrs]]).
         std::string w;
-        std::vector<int> wline;
         for (std::size_t lj = li; lj < code.size() && lj < li + 12; ++lj) {
-          for (char c : code[lj]) {
-            w.push_back(c);
-            wline.push_back(static_cast<int>(lj + 1));
-          }
-          w.push_back('\n');
-          wline.push_back(static_cast<int>(lj + 1));
+          w += code[lj];
+          w += '\n';
         }
         int depth = 0;
         std::size_t cap_b = std::string::npos;
@@ -1002,49 +985,17 @@ void audit_handlers(const std::vector<std::string>& code,
           }
           items.push_back(cur);
         }
-        int total = 0;
         bool bail = false;
         std::vector<std::string> copies;
         for (const std::string& raw_item : items) {
           const std::string it = trim(raw_item);
-          if (it.empty()) continue;
           if (it == "=" || it == "&") {
             bail = true;  // default captures: membership unknowable here
             break;
           }
-          if (it == "this" || it == "*this" || it[0] == '&') {
-            total += 8;
-            continue;
-          }
-          // Init capture `x = expr`: the handler owns whatever expr yields
-          // (usually moved in), sized by the source variable if known.
-          std::size_t eq = std::string::npos;
-          {
-            int d3 = 0;
-            for (std::size_t k = 0; k < it.size(); ++k) {
-              const char c = it[k];
-              if (c == '<' || c == '(' || c == '{') ++d3;
-              if (c == '>' || c == ')' || c == '}') --d3;
-              if (c == '=' && d3 == 0) {
-                eq = k;
-                break;
-              }
-            }
-          }
-          if (eq != std::string::npos) {
-            const std::string src = trailing_ident(it.substr(eq + 1));
-            auto v = vars.find(src);
-            total += v != vars.end() ? v->second.size : 8;
-            continue;
-          }
-          // Plain copy capture.
-          auto v = vars.find(it);
-          if (v != vars.end()) {
-            total += v->second.size;
-            if (v->second.alloc_on_copy) copies.push_back(it);
-          } else {
-            total += 8;
-          }
+          // A plain copy capture names the variable alone; references,
+          // `this` and init captures (`x = std::move(x)`) copy nothing.
+          if (vars.count(it) != 0) copies.push_back(it);
         }
         if (bail) continue;
         const int line = static_cast<int>(li + 1);
@@ -1054,15 +1005,6 @@ void audit_handlers(const std::vector<std::string>& code,
                "kernel handler copy-captures allocating '" + c +
                    "' — move it into the capture or take a reference",
                "copy:" + c});
-        }
-        if (total > kSbo) {
-          findings->push_back(
-              {line, Rule::R9,
-               "kernel handler captures ~" + std::to_string(total) +
-                   " bytes, over the " + std::to_string(kSbo) +
-                   "-byte InlineFunction SBO — the handler will heap-"
-                   "allocate; shrink captures or allow(R9) if deliberate",
-               "sbo:" + std::string(entry)});
         }
       }
     }
@@ -1732,7 +1674,7 @@ std::string to_sarif(const Report& report) {
       {"R6", "No allocation inside hot-path regions"},
       {"R7", "Telemetry names must be registered in obs/names.hpp"},
       {"R8", "Include hygiene: no stale or missing direct ntco includes"},
-      {"R9", "Kernel handlers must fit the InlineFunction SBO"},
+      {"R9", "Kernel handlers must not copy-capture allocating types"},
       {"sup", "Malformed suppression or hot-path marker"},
   };
 

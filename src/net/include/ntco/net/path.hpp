@@ -22,9 +22,7 @@
 namespace ntco::net {
 
 /// Uplink + downlink pair of private Links. Owns its links. One of the two
-/// Transport implementations (the other is fabric::FabricPath); new code
-/// should accept `Transport&`, not `NetworkPath&` (see DESIGN.md,
-/// "Shared-fabric network model" — direct coupling is deprecated).
+/// Transport implementations (the other is fabric::FabricPath).
 class NetworkPath final : public Transport {
  public:
   NetworkPath(std::string name, std::unique_ptr<Link> uplink,

@@ -22,8 +22,7 @@
 ///
 /// Both honour the same timing contract (see `uplink_time`), so a
 /// controller, platform, or bench written against `Transport&` runs
-/// unmodified over either. Direct `NetworkPath&` coupling is deprecated;
-/// see DESIGN.md ("Shared-fabric network model").
+/// unmodified over either (see DESIGN.md, "Shared-fabric network model").
 
 namespace ntco::net {
 

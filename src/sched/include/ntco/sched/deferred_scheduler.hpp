@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <list>
 #include <string>
 #include <vector>
 
@@ -156,6 +157,7 @@ class DeferredExecutor {
   serverless::Platform& platform_;
   serverless::FunctionId fn_;
   DeferredScheduler scheduler_;
+  std::list<DeferredJob> waiting_;  ///< submitted, start not yet reached
   DeferredReport report_;
   obs::TraceSink* trace_ = nullptr;
   Instruments m_;

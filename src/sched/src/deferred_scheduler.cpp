@@ -93,11 +93,14 @@ void DeferredExecutor::submit(DeferredJob job) {
                {"est", est}});
   if (m_.deferral_s) m_.deferral_s->add((start - released).to_seconds());
 
-  sim_.schedule_at(start,
-                   [this, job = std::move(job), released, deadline, est] {
-                     attempt(job, released, deadline, est, Money::zero(),
-                             /*spotted=*/false);
-                   });
+  // The job waits in executor-owned storage; list nodes never move, so
+  // the handler holds an iterator to it.
+  const auto it = waiting_.insert(waiting_.end(), std::move(job));
+  sim_.schedule_at(start, [this, it, released, deadline, est] {
+    const DeferredJob due = std::move(*it);
+    waiting_.erase(it);
+    attempt(due, released, deadline, est, Money::zero(), /*spotted=*/false);
+  });
 }
 
 void DeferredExecutor::attempt(const DeferredJob& job, TimePoint released,

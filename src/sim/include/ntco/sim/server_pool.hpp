@@ -77,17 +77,18 @@ class ServerPool {
     }
     const auto it = running_.find(ticket);
     if (it == running_.end()) return std::nullopt;
-    const Running run = it->second;
-    running_.erase(it);
-    sim_.cancel(run.completion);
+    const TimePoint started = it->second.started;
+    const Duration service = it->second.service;
+    sim_.cancel(it->second.completion);
+    running_.erase(it);  // destroys the completion and its captures now
     CancelInfo info;
     info.was_running = true;
-    info.started = run.started;
-    const Duration elapsed = sim_.now() - run.started;
-    info.consumed = elapsed < run.service ? elapsed : run.service;
+    info.started = started;
+    const Duration elapsed = sim_.now() - started;
+    info.consumed = elapsed < service ? elapsed : service;
     // busy_time_ was charged for the full service at dispatch; refund the
     // part that will never be rendered.
-    busy_time_ -= run.service - info.consumed;
+    busy_time_ -= service - info.consumed;
     ++free_;
     dispatch();
     return info;
@@ -119,10 +120,13 @@ class ServerPool {
     Completion on_done;
   };
 
+  /// An in-service job. It owns the completion, so the kernel handler
+  /// captures only `this` and the ticket.
   struct Running {
     EventId completion = kNoEvent;
     TimePoint started;
     Duration service;
+    Completion on_done;
   };
 
   void dispatch() {
@@ -133,16 +137,18 @@ class ServerPool {
       const TimePoint started = sim_.now();
       busy_time_ += job.service;
       const Ticket ticket = job.ticket;
-      const EventId ev = sim_.schedule_after(
-          job.service,
-          [this, ticket, started, done = std::move(job.on_done)]() mutable {
-            running_.erase(ticket);
-            ++free_;
-            ++completed_;
-            done(started);
-            dispatch();
-          });
-      running_.emplace(ticket, Running{ev, started, job.service});
+      const EventId ev = sim_.schedule_after(job.service, [this, ticket] {
+        const auto it = running_.find(ticket);
+        const TimePoint began = it->second.started;
+        Completion done = std::move(it->second.on_done);
+        running_.erase(it);
+        ++free_;
+        ++completed_;
+        done(began);
+        dispatch();
+      });
+      running_.emplace(
+          ticket, Running{ev, started, job.service, std::move(job.on_done)});
     }
   }
 

@@ -37,8 +37,10 @@
 /// lazy: the heap node of a cancelled event is skipped (and its slot
 /// recycled) when it reaches the top, though the handler itself is
 /// destroyed eagerly at cancel() so captures are released immediately.
-/// Handlers are InlineHandler — a 48-byte small-buffer callable — so
-/// typical capture sets schedule without touching the allocator.
+/// Handlers are InlineHandler — a 48-byte small-buffer callable — and
+/// schedule_at/schedule_after reject at compile time any callable that
+/// would not be stored inline, so scheduling never touches the allocator
+/// unless the caller opts out by name with sim::boxed.
 ///
 /// Observability: attach an obs::TraceSink to log every event lifecycle
 /// transition ("sim.event.scheduled" / "sim.event.fired" /
@@ -62,8 +64,10 @@ using EventId = std::uint64_t;
 inline constexpr EventId kNoEvent = 0xFFFFFFFFu;
 
 /// Handler storage for scheduled events: move-only with a 48-byte inline
-/// buffer (covers this + shared_ptr + an id without allocating) and heap
-/// fallback for larger captures. Move-only captures are allowed.
+/// buffer (covers this + shared_ptr + an id without allocating). The
+/// schedule calls accept only callables that fit it (size, pointer
+/// alignment, nothrow move); move-only captures are allowed. The one
+/// opt-out is sim::boxed (ntco/sim/boxed.hpp).
 using InlineHandler = InlineFunction<void(), 48>;
 
 /// Single-threaded discrete-event simulator.
@@ -88,27 +92,22 @@ class Simulator : public obs::TraceClock {
   void set_trace_sink(obs::TraceSink* sink) { trace_ = sink; }
   [[nodiscard]] obs::TraceSink* trace_sink() const { return trace_; }
 
-  /// Schedules `fn` at absolute time `t`. Pre: t >= now().
-  EventId schedule_at(TimePoint t, Handler fn) {
-    NTCO_EXPECTS(t >= now_);
-    NTCO_EXPECTS(fn != nullptr);
-    const std::uint32_t slot = acquire_slot();
-    Slot& s = slot_ref(slot);
-    const std::uint64_t seq = next_seq_++;
-    s.seq = seq;
-    s.fn = std::move(fn);
-    meta_[slot] |= kPending;  // state was Free (0); generation unchanged
-    heap_push(HeapNode{t, static_cast<std::uint32_t>(seq), slot});
-    ++pending_count_;
-    if (trace_)
-      obs::emit(trace_, now_, "sim.event.scheduled", {{"seq", seq}, {"at", t}});
-    return make_id(slot, meta_[slot] >> kStateBits);
+  /// Schedules `fn` at absolute time `t`. Pre: t >= now(). `fn` must fit
+  /// InlineHandler's inline buffer; wrap an oversized one in sim::boxed.
+  template <class F>
+  EventId schedule_at(TimePoint t, F&& fn) {
+    static_assert(InlineHandler::stores_inline<std::decay_t<F>>(),
+                  "kernel handler does not fit InlineHandler's 48-byte "
+                  "inline buffer (size, pointer alignment, nothrow move): "
+                  "shrink its captures or opt out with sim::boxed");
+    return schedule_handler(t, Handler(std::forward<F>(fn)));
   }
 
   /// Schedules `fn` after a non-negative delay from now.
-  EventId schedule_after(Duration d, Handler fn) {
+  template <class F>
+  EventId schedule_after(Duration d, F&& fn) {
     NTCO_EXPECTS(!d.is_negative());
-    return schedule_at(now_ + d, std::move(fn));
+    return schedule_at(now_ + d, std::forward<F>(fn));
   }
 
   /// Cancels a pending event in O(1). Returns false if the event already
@@ -258,6 +257,22 @@ class Simulator : public obs::TraceClock {
                 "(generation << 32) | slot, pending_event_ids() sorts "
                 "extracted ids, and the (time, seq) event ordering relies "
                 "on well-defined unsigned comparison");
+
+  EventId schedule_handler(TimePoint t, Handler fn) {
+    NTCO_EXPECTS(t >= now_);
+    NTCO_EXPECTS(fn != nullptr);
+    const std::uint32_t slot = acquire_slot();
+    Slot& s = slot_ref(slot);
+    const std::uint64_t seq = next_seq_++;
+    s.seq = seq;
+    s.fn = std::move(fn);
+    meta_[slot] |= kPending;  // state was Free (0); generation unchanged
+    heap_push(HeapNode{t, static_cast<std::uint32_t>(seq), slot});
+    ++pending_count_;
+    if (trace_)
+      obs::emit(trace_, now_, "sim.event.scheduled", {{"seq", seq}, {"at", t}});
+    return make_id(slot, meta_[slot] >> kStateBits);
+  }
 
   static EventId make_id(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(generation) << 32) | slot;

@@ -8,12 +8,13 @@ void setup(std::vector<int>& v) {
 }
 
 // ntco-lint: hotpath begin
-void serve(std::vector<int>& v) {
+void serve(std::vector<int>& v, std::map<int, int>& m) {
   int* p = new int(7);
   v.push_back(*p);
   auto s = std::make_shared<int>(3);
   std::function<void()> g;
   v.resize(9);
+  m.try_emplace(1, 2);
   (void)s;
   (void)g;
 }

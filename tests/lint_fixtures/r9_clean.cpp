@@ -1,12 +1,12 @@
-// R9 fixture, clean: moves, references, and small scalars keep the
-// handler inside the SBO.
+// R9 fixture, clean: moves, references, and small scalars copy nothing
+// that allocates.
 #include <string>
 #include <vector>
 
 void arm(Sim& sim, TimePoint t) {
   std::string name = "job";
   std::vector<int> work;
-  sim.schedule_at(t, [name = std::move(name), &work] {  // 32 + 8 = 40
+  sim.schedule_at(t, [name = std::move(name), &work] {
     consume(name, work);
   });
 }

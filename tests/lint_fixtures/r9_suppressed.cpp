@@ -1,5 +1,5 @@
-// R9 fixture: an oversized copying capture, deliberately kept — one
-// directive must absorb all three findings on the call line.
+// R9 fixture: a copying capture, deliberately kept — one directive must
+// absorb both copy findings on the call line.
 #include <string>
 #include <vector>
 

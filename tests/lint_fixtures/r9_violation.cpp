@@ -1,28 +1,11 @@
-// R9 fixture: handler captures that copy allocating types or defeat the
-// 48-byte InlineFunction SBO.
-#include <cstdint>
-#include <deque>
+// R9 fixture: a handler capture that plain-copies allocating types.
 #include <string>
 #include <vector>
 
 void arm(Sim& sim, TimePoint t) {
   std::string name = "job";
   std::vector<int> work;
-  sim.schedule_at(t, [name, work] {  // copies: 32 + 24 = 56 > 48
+  sim.schedule_at(t, [name, work] {  // copies both: two findings
     consume(name, work);
-  });
-}
-
-void arm_wide(Sim& sim, Duration d) {
-  std::uint64_t a = 0, b = 0, c = 0, e = 0, f = 0, g = 0, h = 0;
-  sim.schedule_after(d, [a, b, c, e, f, g, h] {  // 7 * 8 = 56 > 48
-    consume(a + b + c + e + f + g + h);
-  });
-}
-
-void arm_moved(Sim& sim, TimePoint t) {
-  std::deque<int> backlog;
-  sim.schedule_at(t, [q = std::move(backlog)] {  // moved in, but 80 bytes
-    consume(q);
   });
 }

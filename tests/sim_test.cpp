@@ -14,6 +14,7 @@
 #include "ntco/common/error.hpp"
 #include "ntco/common/rng.hpp"
 #include "ntco/obs/trace.hpp"
+#include "ntco/sim/boxed.hpp"
 #include "ntco/sim/server_pool.hpp"
 
 namespace ntco::sim {
@@ -358,6 +359,38 @@ TEST(SimulatorArena, MoveOnlyCapturesAreSchedulable) {
                      [p = std::move(payload), &got] { got = *p + 1; });
   EXPECT_EQ(sim.run(), 1u);
   EXPECT_EQ(got, 42);
+}
+
+TEST(SimulatorArena, BoxedHandlerKeepsOrderAndCancelReleasesCaptures) {
+  // sim::boxed is the one opt-out for a handler over the inline budget: it
+  // fires in (time, seq) order among inline handlers, and cancel releases
+  // its captures at once.
+  struct Payload {
+    std::uint64_t data[8];
+  };
+  Simulator sim;
+  auto token = std::make_shared<int>(7);
+  std::vector<std::uint64_t> order;
+  auto fired = [&order, token, p = Payload{{2}}] {
+    order.push_back(p.data[0]);
+  };
+  auto dropped = [&order, token, p = Payload{{99}}] {
+    order.push_back(p.data[0]);
+  };
+  static_assert(!InlineHandler::stores_inline<decltype(fired)>());
+
+  sim.schedule_after(Duration::millis(2), [&order] { order.push_back(4); });
+  sim.schedule_after(Duration::millis(1), [&order] { order.push_back(1); });
+  sim.schedule_after(Duration::millis(1), boxed(std::move(fired)));
+  const EventId id =
+      sim.schedule_after(Duration::millis(1), boxed(std::move(dropped)));
+  sim.schedule_after(Duration::millis(1), [&order] { order.push_back(3); });
+  EXPECT_EQ(token.use_count(), 3);
+  EXPECT_TRUE(sim.cancel(id));
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_EQ(sim.run(), 4u);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // --- Randomized interleaving vs the pre-arena reference kernel -------------

@@ -39,7 +39,7 @@ int usage(const char* argv0) {
          "  R7  telemetry names missing from src/obs/.../names.hpp (and\n"
          "      dead registry rows)\n"
          "  R8  stale includes / missing direct includes (IWYU-lite)\n"
-         "  R9  kernel handler lambdas over the 48-byte InlineFunction SBO\n"
+         "  R9  kernel handler lambdas that copy-capture allocating types\n"
          "\n"
          "  --json-out FILE  write the JSON report\n"
          "  --sarif FILE     write a SARIF 2.1.0 report\n"
