@@ -14,11 +14,17 @@
 //   BM_Prepare/<graph>        a whole prepare() with the memory memo and the
 //                             deployment memo hit — what every plan-cache
 //                             miss on a known app pays
+//   BM_Execute/<graph>        one sequential execute() of that plan on the
+//                             warm controller and platform (paper workloads
+//                             only): the run record, every event handler,
+//                             the serverless invocation lifecycle and the
+//                             kernel, driven to the run's completion
 //
-// One item is one prepare's worth of work, so ns/item reads as ns per
-// prepare(). BM_Prepare/ml-batch-training and BM_Prepare/a1-dag-128 are the
-// loops tools/ci.sh gates against the checked-in BENCH_micro_prepare.json
-// baseline (>10% regression fails).
+// One item is one prepare's (or execute's) worth of work, so ns/item reads
+// as ns per call. BM_Prepare/ml-batch-training and BM_Prepare/a1-dag-128
+// are the loops tools/ci.sh gates against the checked-in
+// BENCH_micro_prepare.json baseline (>10% regression fails); BM_Execute is
+// recorded there but not gated.
 //
 // Own main (micro_main.hpp): when NTCO_BENCH_OUT names a directory every
 // result is mirrored into <dir>/BENCH_micro_prepare.json.
@@ -40,13 +46,14 @@ using namespace ntco;
 struct Case {
   std::string name;
   app::TaskGraph graph;
+  bool paper = false;  ///< one of app::workloads::all()
 };
 
 std::vector<Case> make_cases() {
   std::vector<Case> out;
   for (auto& g : app::workloads::all()) {
     std::string name = g.name();
-    out.push_back(Case{std::move(name), std::move(g)});
+    out.push_back(Case{std::move(name), std::move(g), true});
   }
   for (const std::size_t n : {128u, 512u}) {
     Rng rng(900 + n);  // A1b's seed for this size
@@ -62,11 +69,12 @@ struct Warm {
   bench::World world{bench::ntc_cfg(), net::profile_wifi()};
   partition::MinCutPartitioner mincut;
   partition::Environment env;
+  core::DeploymentPlan plan;
   std::vector<const app::Component*> remote;
 
   explicit Warm(const app::TaskGraph& g)
-      : env(world.controller.make_environment(g)) {
-    const auto plan = world.controller.prepare(g, mincut, env);
+      : env(world.controller.make_environment(g)),
+        plan(world.controller.prepare(g, mincut, env)) {
     for (app::ComponentId id = 0; id < g.component_count(); ++id)
       if (plan.is_remote(id)) remote.push_back(&g.component(id));
   }
@@ -118,6 +126,13 @@ void BM_Prepare(benchmark::State& state, const app::TaskGraph* g) {
   finish(state, *g, w);
 }
 
+void BM_Execute(benchmark::State& state, const app::TaskGraph* g) {
+  Warm w(*g);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(w.world.controller.execute(w.plan, *g));
+  finish(state, *g, w);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -129,5 +144,9 @@ int main(int argc, char** argv) {
         std::pair{&BM_Prepare, "BM_Prepare/"}})
     for (const Case& c : cases)
       benchmark::RegisterBenchmark((label + c.name).c_str(), fn, &c.graph);
+  for (const Case& c : cases)
+    if (c.paper)
+      benchmark::RegisterBenchmark(("BM_Execute/" + c.name).c_str(),
+                                   &BM_Execute, &c.graph);
   return ntco::bench::run_micro(argc, argv, "micro_prepare");
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,8 +45,12 @@ struct DataFlow {
 /// Immutable-after-build DAG of components.
 ///
 /// Build with add_component()/add_flow(); structural invariants (valid ids,
-/// no self-loops) are checked on insertion and acyclicity on demand via
-/// topological_order(), which every consumer calls before planning.
+/// no self-loops) are checked on insertion. The per-graph invariants every
+/// request reads — the Kahn order, acyclicity, total work and flow bytes,
+/// the pinned count and the mean offloadable image — are kept by the
+/// mutators, so the const accessors are plain reads: a graph shared
+/// read-only across threads needs no synchronisation, and executing a
+/// request never recomputes (or allocates) them.
 class TaskGraph {
  public:
   explicit TaskGraph(std::string name) : name_(std::move(name)) {}
@@ -53,22 +58,29 @@ class TaskGraph {
   /// Adds a component and returns its id (ids are dense, insertion-ordered).
   ComponentId add_component(Component c) {
     NTCO_EXPECTS(!c.name.empty());
+    total_work_ += c.work;
+    if (c.pinned_local)
+      ++pinned_count_;
+    else
+      offloadable_image_ += c.image;
     components_.push_back(std::move(c));
     out_.emplace_back();
     in_.emplace_back();
+    reorder();
     return static_cast<ComponentId>(components_.size() - 1);
   }
 
   /// Adds a data flow. Pre: both endpoints exist, no self-loop.
   void add_flow(ComponentId from, ComponentId to, DataSize bytes) {
-    NTCO_EXPECTS(from < components_.size());
-    NTCO_EXPECTS(to < components_.size());
-    NTCO_EXPECTS(from != to);
-    const auto idx = flows_.size();
-    flows_.push_back(DataFlow{from, to, bytes});
-    out_[from].push_back(idx);
-    in_[to].push_back(idx);
+    const DataFlow f{from, to, bytes};
+    add_flows({&f, 1});
   }
+
+  /// Adds `flows` in order, as one add_flow() call each would, but
+  /// recomputes the order once: added one by one, E flows cost
+  /// O(E·(V+E)). Pre as add_flow(), checked for every flow before any
+  /// is added.
+  void add_flows(std::span<const DataFlow> flows);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t component_count() const {
@@ -101,22 +113,36 @@ class TaskGraph {
     return in_[id];
   }
 
-  /// Kahn topological order. Throws ConfigError if the graph has a cycle.
-  [[nodiscard]] std::vector<ComponentId> topological_order() const;
+  /// Kahn topological order (FIFO over ready components, ids ascending
+  /// among the initial sources). Throws ConfigError if the graph has a
+  /// cycle.
+  [[nodiscard]] const std::vector<ComponentId>& topological_order() const;
 
   /// True if the flow structure is acyclic.
-  [[nodiscard]] bool is_dag() const;
+  [[nodiscard]] bool is_dag() const {
+    return order_.size() == components_.size();
+  }
 
   /// Components with no incoming / outgoing flows.
   [[nodiscard]] std::vector<ComponentId> sources() const;
   [[nodiscard]] std::vector<ComponentId> sinks() const;
 
   /// Sum of all component demands.
-  [[nodiscard]] Cycles total_work() const;
+  [[nodiscard]] Cycles total_work() const { return total_work_; }
   /// Sum of all flow payloads.
-  [[nodiscard]] DataSize total_flow_bytes() const;
+  [[nodiscard]] DataSize total_flow_bytes() const {
+    return total_flow_bytes_;
+  }
+  /// Mean deployment image of the components not pinned to the device,
+  /// rounded down to whole bytes; zero when every component is pinned.
+  [[nodiscard]] DataSize mean_offloadable_image() const {
+    const std::size_t offloadable = components_.size() - pinned_count_;
+    return offloadable == 0 ? DataSize::zero()
+                            : DataSize::bytes(offloadable_image_.count_bytes() /
+                                              offloadable);
+  }
   /// Number of pinned components.
-  [[nodiscard]] std::size_t pinned_count() const;
+  [[nodiscard]] std::size_t pinned_count() const { return pinned_count_; }
 
   /// Compute-to-communication ratio: cycles of work per byte of flow.
   /// Pre: total_flow_bytes() > 0.
@@ -127,11 +153,20 @@ class TaskGraph {
   [[nodiscard]] TaskGraph with_work_scaled(double factor) const;
 
  private:
+  /// Recomputes order_ (Kahn's algorithm) after a mutation. A cyclic graph
+  /// leaves order_ short of component_count(), which is what is_dag() reads.
+  void reorder();
+
   std::string name_;
   std::vector<Component> components_;
   std::vector<DataFlow> flows_;
   std::vector<std::vector<std::size_t>> out_;
   std::vector<std::vector<std::size_t>> in_;
+  std::vector<ComponentId> order_;
+  Cycles total_work_;
+  DataSize total_flow_bytes_;
+  DataSize offloadable_image_;  ///< summed over non-pinned components
+  std::size_t pinned_count_ = 0;
 };
 
 }  // namespace ntco::app

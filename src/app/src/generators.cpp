@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 namespace ntco::app {
 
@@ -93,17 +94,19 @@ TaskGraph layered_random(std::size_t layers, const GeneratorParams& p,
 
   // Every component beyond layer 0 gets >=1 predecessor in the previous
   // layer, plus extra edges with decaying probability.
+  std::vector<DataFlow> flows;
   for (std::size_t l = 1; l < layers; ++l) {
     for (const auto v : by_layer[l]) {
       const auto& prev = by_layer[l - 1];
       const auto first = prev[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(prev.size()) - 1))];
-      g.add_flow(first, v, draw_flow(p, rng));
+      flows.push_back(DataFlow{first, v, draw_flow(p, rng)});
       for (const auto u : prev)
         if (u != first && rng.bernoulli(0.25))
-          g.add_flow(u, v, draw_flow(p, rng));
+          flows.push_back(DataFlow{u, v, draw_flow(p, rng)});
     }
   }
+  g.add_flows(flows);
   return g;
 }
 

@@ -1,42 +1,44 @@
 #include "ntco/app/task_graph.hpp"
 
-#include <deque>
-
 #include "ntco/common/error.hpp"
 
 namespace ntco::app {
 
-std::vector<ComponentId> TaskGraph::topological_order() const {
+void TaskGraph::add_flows(std::span<const DataFlow> flows) {
+  for (const DataFlow& f : flows) {
+    NTCO_EXPECTS(f.from < components_.size());
+    NTCO_EXPECTS(f.to < components_.size());
+    NTCO_EXPECTS(f.from != f.to);
+  }
+  for (const DataFlow& f : flows) {
+    out_[f.from].push_back(flows_.size());
+    in_[f.to].push_back(flows_.size());
+    flows_.push_back(f);
+    total_flow_bytes_ += f.bytes;
+  }
+  reorder();
+}
+
+void TaskGraph::reorder() {
   std::vector<std::size_t> indegree(components_.size(), 0);
   for (const auto& f : flows_) ++indegree[f.to];
 
-  std::deque<ComponentId> ready;
+  // order_ doubles as Kahn's FIFO ready queue: entries before `head` are
+  // emitted, the rest are ready and waiting.
+  order_.clear();
   for (ComponentId v = 0; v < components_.size(); ++v)
-    if (indegree[v] == 0) ready.push_back(v);
-
-  std::vector<ComponentId> order;
-  order.reserve(components_.size());
-  while (!ready.empty()) {
-    const ComponentId v = ready.front();
-    ready.pop_front();
-    order.push_back(v);
-    for (const std::size_t fi : out_[v]) {
+    if (indegree[v] == 0) order_.push_back(v);
+  for (std::size_t head = 0; head < order_.size(); ++head)
+    for (const std::size_t fi : out_[order_[head]]) {
       const ComponentId w = flows_[fi].to;
-      if (--indegree[w] == 0) ready.push_back(w);
+      if (--indegree[w] == 0) order_.push_back(w);
     }
-  }
-  if (order.size() != components_.size())
-    throw ConfigError("TaskGraph '" + name_ + "' contains a cycle");
-  return order;
 }
 
-bool TaskGraph::is_dag() const {
-  try {
-    (void)topological_order();
-    return true;
-  } catch (const ConfigError&) {
-    return false;
-  }
+const std::vector<ComponentId>& TaskGraph::topological_order() const {
+  if (!is_dag())
+    throw ConfigError("TaskGraph '" + name_ + "' contains a cycle");
+  return order_;
 }
 
 std::vector<ComponentId> TaskGraph::sources() const {
@@ -51,25 +53,6 @@ std::vector<ComponentId> TaskGraph::sinks() const {
   for (ComponentId v = 0; v < components_.size(); ++v)
     if (out_[v].empty()) out.push_back(v);
   return out;
-}
-
-Cycles TaskGraph::total_work() const {
-  Cycles total;
-  for (const auto& c : components_) total += c.work;
-  return total;
-}
-
-DataSize TaskGraph::total_flow_bytes() const {
-  DataSize total;
-  for (const auto& f : flows_) total += f.bytes;
-  return total;
-}
-
-std::size_t TaskGraph::pinned_count() const {
-  std::size_t n = 0;
-  for (const auto& c : components_)
-    if (c.pinned_local) ++n;
-  return n;
 }
 
 double TaskGraph::compute_to_communication() const {
@@ -87,7 +70,7 @@ TaskGraph TaskGraph::with_work_scaled(double factor) const {
     scaled.work = c.work * factor;
     (void)g.add_component(std::move(scaled));
   }
-  for (const auto& f : flows_) g.add_flow(f.from, f.to, f.bytes);
+  g.add_flows(flows_);
   return g;
 }
 

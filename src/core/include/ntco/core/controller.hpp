@@ -1,6 +1,8 @@
 #pragma once
 
+#include <compare>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <map>
@@ -160,12 +162,13 @@ class OffloadController {
   /// component, and deploys them. `g` is normally the profiler's estimated
   /// graph.
   ///
-  /// Deployment is idempotent per plan fingerprint (graph identity +
-  /// placement + per-function memory/image): preparing an identical plan
-  /// again reuses the already-deployed functions — and with them their
-  /// warm instances — instead of registering fresh cold ones. This is what
-  /// lets a plan-cache hit skip the redundant deploy cost (previously
-  /// every prepare() cold-started a brand-new set of functions).
+  /// Deployment is idempotent per plan fingerprint (graph name, placement,
+  /// and each remote component's name, memory and image): preparing an
+  /// identical plan again reuses the already-deployed functions — and
+  /// with them their warm instances — instead of registering fresh cold
+  /// ones. This is what lets a plan-cache hit skip the redundant deploy
+  /// cost (previously every prepare() cold-started a brand-new set of
+  /// functions).
   ///
   /// Each function is sized once per distinct allocator input: the memory
   /// choice is memoised, and function specs are built only when the plan
@@ -187,11 +190,18 @@ class OffloadController {
   [[nodiscard]] DataSize function_memory(const app::Component& comp,
                                          Frequency remote_speed);
 
+  /// Completion callback of one execution.
+  using RunCallback = std::function<void(const ExecutionReport&)>;
+
   /// Executes `truth` once under `plan`, sequentially in topological
   /// order; `done` fires with the measured report. Multiple concurrent
   /// executions are allowed (they contend for warm instances naturally).
+  /// `plan` and `truth` must outlive the run.
+  ///
+  /// Each execution lives in a pooled run record: a warm controller
+  /// executes without allocating (see DESIGN.md, "Execution path").
   void execute_async(const DeploymentPlan& plan, const app::TaskGraph& truth,
-                     std::function<void(const ExecutionReport&)> done);
+                     RunCallback done);
 
   /// Synchronous convenience: executes once and drives the simulator until
   /// the run completes.
@@ -199,6 +209,12 @@ class OffloadController {
                                         const app::TaskGraph& truth);
 
   [[nodiscard]] const ControllerConfig& config() const { return cfg_; }
+
+  /// Executions whose run record is still held: started and not yet
+  /// returned to the pool. A sequential run returns when its `done` has
+  /// fired; a parallel run returns once its last in-flight invocation,
+  /// local execution or transfer has fired too, even after a failure.
+  [[nodiscard]] std::size_t live_runs() const { return live_runs_; }
 
   /// The transport every boundary transfer of this controller rides.
   /// Exposed for upstream layers (the broker's deadline-joint admission)
@@ -213,8 +229,43 @@ class OffloadController {
   void attach_observer(obs::TraceSink* trace, obs::MetricsRegistry* metrics);
 
  private:
-  struct Run;
-  struct RunState;
+  /// One execution's state. Records are pooled (runs_, free_runs_), and
+  /// event handlers and invocation callbacks capture `this` plus a Run*.
+  /// Sequential runs use the first block of fields, parallel runs the
+  /// second. The vectors keep their capacity across reuse.
+  struct Run {
+    const DeploymentPlan* plan = nullptr;
+    const app::TaskGraph* truth = nullptr;
+    TimePoint begin;
+    ExecutionReport report;
+    RunCallback done;
+    bool finished = false;  ///< done() already fired (success or failure)
+    /// Invocations, local executions and transfer deliveries whose
+    /// callback has not fired yet. A finished run returns to the pool
+    /// only once this reaches zero.
+    std::size_t in_flight = 0;
+    Run* next_free = nullptr;  ///< pool free-list link
+
+    // Sequential executor.
+    const std::vector<app::ComponentId>* order = nullptr;
+    std::size_t next = 0;  ///< next index into *order
+    /// Where each already-executed component actually ran (differs from
+    /// the plan after an upload-failure fallback).
+    std::vector<bool> ran_remote;
+
+    // Dataflow (parallel) executor.
+    std::vector<std::size_t> pending_inputs;  ///< undelivered in-flows
+    std::size_t remaining = 0;  ///< components not yet finished
+    bool device_busy = false;
+    /// FIFO of local components waiting for the UE core. Every component
+    /// enters at most once, so it is sized to the graph at run start.
+    std::vector<app::ComponentId> local_ready;
+    std::size_t local_head = 0;
+    std::size_t local_tail = 0;
+    TimePoint uplink_free;    ///< next time the uplink can start a transfer
+    TimePoint downlink_free;  ///< next time the downlink can start one
+  };
+
   struct RadioResult {
     bool ok = true;
     Duration elapsed;
@@ -224,21 +275,29 @@ class OffloadController {
   RadioResult radio_with_retries(bool upload, DataSize bytes,
                                  ExecutionReport& report);
 
-  void step(std::shared_ptr<RunState> run);
+  /// Takes a record from the pool (growing it past its high-water mark).
+  Run* acquire(const DeploymentPlan& plan, const app::TaskGraph& truth,
+               RunCallback done);
+  /// Returns a record to the pool.
+  void release(Run* run);
+  /// The one exit of every run: observes its end and fires its `done`.
+  /// The record returns to the pool now if nothing of the run is still in
+  /// flight, else when the last in-flight callback settles.
+  void finish(Run* run);
+  /// Accounts one in-flight callback of `run` as fired.
+  void settle(Run* run);
+
+  void step(Run* run);
 
   // Parallel-mode machinery.
-  struct ParallelRun;
-  void par_component_ready(std::shared_ptr<ParallelRun> run,
-                           app::ComponentId v);
-  void par_start_local(std::shared_ptr<ParallelRun> run, app::ComponentId v);
-  void par_component_done(std::shared_ptr<ParallelRun> run,
-                          app::ComponentId v);
-  void par_deliver_flow(std::shared_ptr<ParallelRun> run, std::size_t flow);
-  void par_maybe_finish(const std::shared_ptr<ParallelRun>& run);
+  void par_component_ready(Run* run, app::ComponentId v);
+  void par_start_local(Run* run, app::ComponentId v);
+  void par_component_done(Run* run, app::ComponentId v);
+  void par_deliver_flow(Run* run, std::size_t flow);
+  void par_deliver(Run* run, app::ComponentId to);
+  void par_maybe_finish(Run* run);
 
   void observe_run_end(const ExecutionReport& r);
-  /// The one exit of every run: observes its end, then fires its `done`.
-  void finish(Run& run);
 
   /// Cached instrument pointers; null when no registry is attached.
   struct Instruments {
@@ -260,9 +319,30 @@ class OffloadController {
   ControllerConfig cfg_;
   obs::TraceSink* trace_ = nullptr;
   Instruments m_;
-  /// Deployed-function memo keyed by plan fingerprint (see prepare()):
-  /// identical plans reuse their FunctionIds instead of redeploying.
-  std::map<std::string, std::vector<serverless::FunctionId>> deployed_;
+  /// Run-record pool: deque addresses are stable, freed records are
+  /// relinked through Run::next_free.
+  std::deque<Run> runs_;
+  Run* free_runs_ = nullptr;
+  std::size_t live_runs_ = 0;
+  /// One remote function of a plan as the deployment memo keys it.
+  struct DeployedFunction {
+    std::string name;  ///< component name
+    std::uint64_t memory_bytes = 0;
+    std::uint64_t image_bytes = 0;
+    friend auto operator<=>(const DeployedFunction&,
+                            const DeployedFunction&) = default;
+  };
+  /// What deployment is idempotent over (see prepare()): graph name,
+  /// placement, and every remote component's function in id order.
+  using DeployKey =
+      std::tuple<std::string, std::vector<partition::Placement>,
+                 std::vector<DeployedFunction>>;
+  /// Deployed-function memo: identical plans reuse their FunctionIds
+  /// instead of redeploying.
+  std::map<DeployKey, std::vector<serverless::FunctionId>> deployed_;
+  /// prepare()'s lookup key, rebuilt in place on every call so that a memo
+  /// hit reuses its storage instead of allocating a fresh key.
+  DeployKey deploy_probe_;
   /// Memory-choice memo keyed by the exact argument tuple of
   /// alloc::MemoryOptimizer::choose: (work cycles, floor bytes,
   /// parallel_fraction, deadline µs, memory_step bytes). Exact by

@@ -1,8 +1,6 @@
 #include "ntco/core/controller.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,17 +69,9 @@ partition::Environment OffloadController::make_environment(
 
   // Amortise the expected cold-start share of the average image into the
   // per-invocation overhead.
-  DataSize mean_image;
-  std::size_t offloadable = 0;
-  for (const auto& c : g.components()) {
-    if (c.pinned_local) continue;
-    mean_image += c.image;
-    ++offloadable;
-  }
   Duration cold;
-  if (offloadable > 0)
-    cold = platform_.cold_start_time(
-        DataSize::bytes(mean_image.count_bytes() / offloadable));
+  if (g.pinned_count() < g.component_count())
+    cold = platform_.cold_start_time(g.mean_offloadable_image());
   env.remote_overhead =
       cfg_.dispatch_overhead + cold * (1.0 - cfg_.expected_warm_rate);
 
@@ -120,24 +110,23 @@ DeploymentPlan OffloadController::prepare(
   // Size every remote component's function first; the chosen sizes (not
   // the environment that produced them) are what deployment must be
   // idempotent over.
+  auto& [app_name, placement, functions] = deploy_probe_;
+  app_name = g.name();
+  placement = plan.partition.placement;
   std::size_t remote = 0;
-  std::string fingerprint = g.name();
-  fingerprint += '|';
-  fingerprint += plan.partition.to_string();
   for (app::ComponentId id = 0; id < g.component_count(); ++id) {
     if (!plan.partition.is_remote(id)) continue;
     const auto& comp = g.component(id);
     plan.memory_of[id] = function_memory(comp, plan.environment.remote_speed);
-    ++remote;
-    fingerprint += '|';
-    fingerprint += comp.name;
-    fingerprint += '@';
-    fingerprint += std::to_string(plan.memory_of[id].count_bytes());
-    fingerprint += '#';
-    fingerprint += std::to_string(comp.image.count_bytes());
+    if (remote == functions.size()) functions.emplace_back();
+    DeployedFunction& f = functions[remote++];
+    f.name = comp.name;
+    f.memory_bytes = plan.memory_of[id].count_bytes();
+    f.image_bytes = comp.image.count_bytes();
   }
+  functions.resize(remote);
 
-  const auto memo = deployed_.find(fingerprint);
+  const auto memo = deployed_.find(deploy_probe_);
   if (memo != deployed_.end()) {
     // Same functions, same sizes: reuse the deployment (and its warm
     // instances) instead of registering cold duplicates.
@@ -163,7 +152,7 @@ DeploymentPlan OffloadController::prepare(
         comp.parallel_fraction});
     ids.push_back(plan.function_of[id]);
   }
-  deployed_.emplace(std::move(fingerprint), std::move(ids));
+  deployed_.emplace(deploy_probe_, std::move(ids));
   if (m_.plan_deploys) m_.plan_deploys->add();
   return plan;
 }
@@ -189,29 +178,6 @@ DataSize OffloadController::function_memory(const app::Component& comp,
   memory_memo_.emplace(key, chosen);
   return chosen;
 }
-
-/// State every execution mode threads through its event chain.
-struct OffloadController::Run {
-  const DeploymentPlan* plan = nullptr;
-  const app::TaskGraph* truth = nullptr;
-  TimePoint begin;
-  ExecutionReport report;
-  std::function<void(const ExecutionReport&)> done;
-};
-
-void OffloadController::finish(Run& run) {
-  observe_run_end(run.report);
-  run.done(run.report);
-}
-
-/// Per-execution state of the sequential executor.
-struct OffloadController::RunState : Run {
-  std::vector<app::ComponentId> order;
-  std::size_t next = 0;
-  /// Where each already-executed component actually ran (differs from the
-  /// plan after an upload-failure fallback).
-  std::vector<bool> ran_remote;
-};
 
 OffloadController::RadioResult OffloadController::radio_with_retries(
     bool upload, DataSize bytes, ExecutionReport& report) {
@@ -250,20 +216,43 @@ OffloadController::RadioResult OffloadController::radio_with_retries(
   return result;
 }
 
-/// Per-execution state of the dataflow (parallel) executor.
-struct OffloadController::ParallelRun : Run {
-  std::vector<std::size_t> pending_inputs;  ///< undelivered in-flows per comp
-  std::size_t remaining = 0;                ///< components not yet finished
-  bool finished = false;  ///< done() already fired (success or failure)
-  bool device_busy = false;
-  std::deque<app::ComponentId> local_ready;  ///< waiting for the UE core
-  TimePoint uplink_free;    ///< next time the uplink can start a transfer
-  TimePoint downlink_free;  ///< next time the downlink can start a transfer
-};
-
-void OffloadController::execute_async(
+// ntco-lint: hotpath begin
+OffloadController::Run* OffloadController::acquire(
     const DeploymentPlan& plan, const app::TaskGraph& truth,
-    std::function<void(const ExecutionReport&)> done) {
+    RunCallback done) {
+  if (free_runs_ == nullptr) free_runs_ = &runs_.emplace_back();  // ntco-lint: allow(R6) run-record pool grows only past its high-water mark of concurrent executions; finished records are reused
+  Run* run = std::exchange(free_runs_, free_runs_->next_free);
+  ++live_runs_;
+  run->plan = &plan;
+  run->truth = &truth;
+  run->begin = sim_.now();
+  run->report = {};
+  run->done = std::move(done);
+  run->finished = false;
+  return run;
+}
+
+void OffloadController::release(Run* run) {
+  run->done = nullptr;
+  run->next_free = std::exchange(free_runs_, run);
+  --live_runs_;
+}
+
+void OffloadController::finish(Run* run) {
+  run->finished = true;
+  observe_run_end(run->report);
+  run->done(run->report);
+  if (run->in_flight == 0) release(run);
+}
+
+void OffloadController::settle(Run* run) {
+  NTCO_EXPECTS(run->in_flight > 0);
+  if (--run->in_flight == 0 && run->finished) release(run);
+}
+
+void OffloadController::execute_async(const DeploymentPlan& plan,
+                                      const app::TaskGraph& truth,
+                                      RunCallback done) {
   NTCO_EXPECTS(done != nullptr);
   NTCO_EXPECTS(plan.partition.placement.size() == truth.component_count());
   const bool sequential = cfg_.execution_mode == ExecutionMode::Sequential;
@@ -273,43 +262,42 @@ void OffloadController::execute_async(
                {"mode", sequential ? "sequential" : "parallel"},
                {"components", truth.component_count()},
                {"remote", plan.partition.remote_count()}});
-  if (cfg_.execution_mode == ExecutionMode::Sequential) {
-    auto run = std::make_shared<RunState>();
-    run->plan = &plan;
-    run->truth = &truth;
-    run->order = truth.topological_order();
-    run->begin = sim_.now();
-    run->done = std::move(done);
-    step(std::move(run));
+  const std::size_t n = truth.component_count();
+  if (sequential) {
+    const auto& order = truth.topological_order();  // throws on a cycle
+    Run* run = acquire(plan, truth, std::move(done));
+    run->order = &order;
+    run->next = 0;
+    run->ran_remote.assign(n, false);
+    step(run);
     return;
   }
 
   // Parallel (dataflow) execution.
   if (!truth.is_dag())
     throw ConfigError("parallel execution requires an acyclic graph");
-  auto run = std::make_shared<ParallelRun>();
-  run->plan = &plan;
-  run->truth = &truth;
-  run->begin = sim_.now();
-  run->done = std::move(done);
-  run->remaining = truth.component_count();
-  run->pending_inputs.resize(truth.component_count());
+  Run* run = acquire(plan, truth, std::move(done));
+  run->remaining = n;
+  run->device_busy = false;
+  run->pending_inputs.assign(n, 0);
+  run->local_ready.assign(n, 0);
+  run->local_head = 0;
+  run->local_tail = 0;
   run->uplink_free = sim_.now();
   run->downlink_free = sim_.now();
-  for (app::ComponentId v = 0; v < truth.component_count(); ++v)
+  for (app::ComponentId v = 0; v < n; ++v)
     run->pending_inputs[v] = truth.in_flows(v).size();
-  for (app::ComponentId v = 0; v < truth.component_count(); ++v)
+  for (app::ComponentId v = 0; v < n; ++v)
     if (run->pending_inputs[v] == 0) par_component_ready(run, v);
 }
 
-void OffloadController::par_component_ready(std::shared_ptr<ParallelRun> run,
-                                            app::ComponentId v) {
+void OffloadController::par_component_ready(Run* run, app::ComponentId v) {
   if (run->finished) return;
   if (!run->plan->is_remote(v)) {
     if (run->device_busy) {
-      run->local_ready.push_back(v);
+      run->local_ready[run->local_tail++] = v;
     } else {
-      par_start_local(std::move(run), v);
+      par_start_local(run, v);
     }
     return;
   }
@@ -317,50 +305,52 @@ void OffloadController::par_component_ready(std::shared_ptr<ParallelRun> run,
   const auto fn = run->plan->function_for(v);
   NTCO_EXPECTS(fn.has_value());
   const TimePoint invoked = sim_.now();
-  auto* controller = this;
-  // Read the work before the call: the closure argument moves `run`, and
-  // argument evaluation order is unspecified.
-  const Cycles work = run->truth->component(v).work;
-  platform_.invoke(*fn, work,
-                   [controller, run = std::move(run), v,
-                    invoked](const serverless::InvocationResult& r) mutable {
-                     run->report.remote_compute += r.exec_time;
-                     run->report.cloud_cost += r.cost;
-                     run->report.waiting += r.finished - invoked;
-                     ++run->report.remote_invocations;
-                     if (r.cold_start) ++run->report.cold_starts;
-                     controller->par_component_done(std::move(run), v);
-                   });
+  auto on_done = [this, run, v,
+                  invoked](const serverless::InvocationResult& r) {
+    run->report.remote_compute += r.exec_time;
+    run->report.cloud_cost += r.cost;
+    run->report.waiting += r.finished - invoked;
+    ++run->report.remote_invocations;
+    if (r.cold_start) ++run->report.cold_starts;
+    par_component_done(run, v);
+    settle(run);
+  };
+  static_assert(
+      serverless::Platform::Callback::stores_inline<decltype(on_done)>(),
+      "the parallel completion capture must fit Platform::Callback inline");
+  ++run->in_flight;
+  platform_.invoke(*fn, run->truth->component(v).work, std::move(on_done));
 }
 
-void OffloadController::par_start_local(std::shared_ptr<ParallelRun> run,
-                                        app::ComponentId v) {
+void OffloadController::par_start_local(Run* run, app::ComponentId v) {
   run->device_busy = true;
   const Cycles work = run->truth->component(v).work;
   const Duration exec = device_.exec_time(work);
   run->report.local_compute += exec;
   run->report.device_energy += device_.exec_energy(work);
-  sim_.schedule_after(exec, [this, run = std::move(run), v]() mutable {
+  ++run->in_flight;
+  sim_.schedule_after(exec, [this, run, v] {
     run->device_busy = false;
-    if (!run->local_ready.empty()) {
-      const app::ComponentId next = run->local_ready.front();
-      run->local_ready.pop_front();
-      par_start_local(run, next);
-    }
-    par_component_done(std::move(run), v);
+    if (run->local_head < run->local_tail)
+      par_start_local(run, run->local_ready[run->local_head++]);
+    par_component_done(run, v);
+    settle(run);
   });
 }
 
-void OffloadController::par_component_done(std::shared_ptr<ParallelRun> run,
-                                           app::ComponentId v) {
+void OffloadController::par_component_done(Run* run, app::ComponentId v) {
   --run->remaining;
   for (const std::size_t fi : run->truth->out_flows(v))
     par_deliver_flow(run, fi);
   par_maybe_finish(run);
 }
 
-void OffloadController::par_deliver_flow(std::shared_ptr<ParallelRun> run,
-                                         std::size_t flow) {
+void OffloadController::par_deliver(Run* run, app::ComponentId to) {
+  NTCO_EXPECTS(run->pending_inputs[to] > 0);
+  if (--run->pending_inputs[to] == 0) par_component_ready(run, to);
+}
+
+void OffloadController::par_deliver_flow(Run* run, std::size_t flow) {
   // A failed run ignores stragglers; its caller may already have released
   // the plan.
   if (run->finished) return;
@@ -368,15 +358,9 @@ void OffloadController::par_deliver_flow(std::shared_ptr<ParallelRun> run,
   const bool from_remote = run->plan->is_remote(f.from);
   const bool to_remote = run->plan->is_remote(f.to);
 
-  auto delivered = [this](std::shared_ptr<ParallelRun> r,
-                          app::ComponentId to) {
-    NTCO_EXPECTS(r->pending_inputs[to] > 0);
-    if (--r->pending_inputs[to] == 0) par_component_ready(std::move(r), to);
-  };
-
   if (from_remote == to_remote) {
     // Same side: in-process (local) or intra-region (remote), free.
-    delivered(std::move(run), f.to);
+    par_deliver(run, f.to);
     return;
   }
 
@@ -389,52 +373,49 @@ void OffloadController::par_deliver_flow(std::shared_ptr<ParallelRun> run,
       radio_with_retries(upload, f.bytes, run->report);
   const Duration t = radio.elapsed;
   if (!radio.ok) {
-    run->finished = true;
     run->report.failed = true;
     run->report.makespan = (sim_.now() + t) - run->begin;
-    finish(*run);
+    finish(run);
     return;
   }
   TimePoint& direction_free = upload ? run->uplink_free : run->downlink_free;
   const TimePoint start = std::max(sim_.now(), direction_free);
-  const TimePoint finish = start + t;
-  direction_free = finish;
+  const TimePoint arrival = start + t;
+  direction_free = arrival;
   if (!upload)
     run->report.cloud_cost +=
         run->plan->environment.egress_price_per_gb *
         (static_cast<double>(f.bytes.count_bytes()) / 1e9);
 
   const app::ComponentId to = f.to;
-  sim_.schedule_at(finish,
-                   [this, run = std::move(run), to, delivered]() mutable {
-                     delivered(std::move(run), to);
-                   });
+  ++run->in_flight;
+  sim_.schedule_at(arrival, [this, run, to] {
+    par_deliver(run, to);
+    settle(run);
+  });
 }
 
-void OffloadController::par_maybe_finish(
-    const std::shared_ptr<ParallelRun>& run) {
+void OffloadController::par_maybe_finish(Run* run) {
   if (run->finished || run->remaining > 0) return;
-  run->finished = true;
   run->report.makespan = sim_.now() - run->begin;
   // The UE idles whenever it is not computing; radio energy is accounted
   // separately on top (slight overlap double-count, documented).
   const Duration idle = run->report.makespan - run->report.local_compute;
   if (idle > Duration::zero())
     run->report.device_energy += device_.idle_energy(idle);
-  finish(*run);
+  finish(run);
 }
 
-void OffloadController::step(std::shared_ptr<RunState> run) {
-  if (run->next == run->order.size()) {
+void OffloadController::step(Run* run) {
+  if (run->next == run->order->size()) {
     run->report.makespan = sim_.now() - run->begin;
-    finish(*run);
+    finish(run);
     return;
   }
 
-  const app::ComponentId v = run->order[run->next++];
+  const app::ComponentId v = (*run->order)[run->next++];
   const auto& g = *run->truth;
   const auto& plan = *run->plan;
-  if (run->ran_remote.empty()) run->ran_remote.resize(g.component_count());
 
   // Phase 1 — decide where v actually runs. If it is planned remote, its
   // local inputs must be uploaded first; an unrecoverable upload failure
@@ -473,7 +454,7 @@ void OffloadController::step(std::shared_ptr<RunState> run) {
       if (!r.ok) {
         run->report.failed = true;
         run->report.makespan = (sim_.now() + transfer) - run->begin;
-        finish(*run);
+        finish(run);
         return;
       }
       run->report.cloud_cost +=
@@ -488,10 +469,7 @@ void OffloadController::step(std::shared_ptr<RunState> run) {
     const Duration exec = device_.exec_time(g.component(v).work);
     run->report.local_compute += exec;
     run->report.device_energy += device_.exec_energy(g.component(v).work);
-    sim_.schedule_after(transfer + exec,
-                        [this, run = std::move(run)]() mutable {
-                          step(std::move(run));
-                        });
+    sim_.schedule_after(transfer + exec, [this, run] { step(run); });
     return;
   }
 
@@ -499,27 +477,27 @@ void OffloadController::step(std::shared_ptr<RunState> run) {
   NTCO_EXPECTS(fn_opt.has_value());
   const serverless::FunctionId fn = *fn_opt;
   const Cycles work = g.component(v).work;
-  sim_.schedule_after(transfer, [this, run = std::move(run), fn,
-                                 work]() mutable {
-    const TimePoint invoked = sim_.now();
-    // Keep a raw pointer so we can move `run` into the completion callback.
-    auto* controller = this;
-    platform_.invoke(
-        fn, work,
-        [controller, run = std::move(run),
-         invoked](const serverless::InvocationResult& r) mutable {
-          const Duration waited = r.finished - invoked;
-          run->report.waiting += waited;
-          // The UE idles while the cloud computes.
-          run->report.device_energy += controller->device_.idle_energy(waited);
-          run->report.remote_compute += r.exec_time;
-          run->report.cloud_cost += r.cost;
-          ++run->report.remote_invocations;
-          if (r.cold_start) ++run->report.cold_starts;
-          controller->step(std::move(run));
-        });
+  sim_.schedule_after(transfer, [this, run, fn, work] {
+    auto on_done = [this, run, invoked = sim_.now()](
+                       const serverless::InvocationResult& r) {
+      const Duration waited = r.finished - invoked;
+      run->report.waiting += waited;
+      // The UE idles while the cloud computes.
+      run->report.device_energy += device_.idle_energy(waited);
+      run->report.remote_compute += r.exec_time;
+      run->report.cloud_cost += r.cost;
+      ++run->report.remote_invocations;
+      if (r.cold_start) ++run->report.cold_starts;
+      step(run);
+    };
+    static_assert(
+        serverless::Platform::Callback::stores_inline<decltype(on_done)>(),
+        "the sequential completion capture must fit Platform::Callback "
+        "inline");
+    platform_.invoke(fn, work, std::move(on_done));
   });
 }
+// ntco-lint: hotpath end
 
 ExecutionReport OffloadController::execute(const DeploymentPlan& plan,
                                            const app::TaskGraph& truth) {

@@ -2,12 +2,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "ntco/common/inline_function.hpp"
 #include "ntco/common/price_window.hpp"
 #include "ntco/common/rng.hpp"
 #include "ntco/common/units.hpp"
@@ -147,7 +147,10 @@ struct PlatformStats {
 /// sim::Simulator.
 class Platform {
  public:
-  using Callback = std::function<void(const InvocationResult&)>;
+  /// Completion callback of one invocation. Move-only; a capture of up to
+  /// 48 bytes (the controller's `this` + run record + timestamp) is stored
+  /// inline, so invoking allocates nothing for it.
+  using Callback = InlineFunction<void(const InvocationResult&), 48>;
 
   Platform(sim::Simulator& sim, PlatformConfig cfg);
 
@@ -306,10 +309,12 @@ class Platform {
     sim::EventId completion = sim::kNoEvent;
   };
 
+  using RunningMap = std::map<InvocationId, RunningInvocation>;
+
   InvocationId enqueue(FunctionId id, Cycles work, Duration exec_credit,
                        Callback done, Tier tier);
   void pump();  ///< admits queued invocations while concurrency allows
-  void begin(PendingInvocation inv);
+  void begin(PendingInvocation&& inv);
   /// Delivers the result of `running_[id]`; `forced` marks a
   /// checkpoint_preempt() (exec truncated to what actually ran).
   void complete(InvocationId id, bool forced);
@@ -336,11 +341,16 @@ class Platform {
   obs::TraceSink* trace_ = nullptr;
   Instruments m_;
   std::vector<Function> fns_;
+  /// Throttled invocations, FIFO. An invocation admitted at once never
+  /// passes through here.
   std::deque<PendingInvocation> queue_;
   /// Executing invocations (ordered map: deterministic iteration, stable
-  /// handles). Entries move queue_ -> running_ at admission and are erased
-  /// when their result is delivered.
-  std::map<InvocationId, RunningInvocation> running_;
+  /// handles). Entries are added at admission and extracted when their
+  /// result is delivered.
+  RunningMap running_;
+  /// Nodes of delivered invocations, relinked into running_ by the next
+  /// admissions so that a warm platform admits without allocating.
+  std::vector<RunningMap::node_type> spare_running_;
   std::size_t busy_ = 0;
   std::uint64_t next_instance_ = 1;
   InvocationId next_invocation_ = 1;

@@ -113,6 +113,7 @@ InvocationId Platform::resume(FunctionId id, Cycles work, Duration exec_credit,
   return enqueue(id, work, exec_credit, std::move(done), tier);
 }
 
+// ntco-lint: hotpath begin
 InvocationId Platform::enqueue(FunctionId id, Cycles work,
                                Duration exec_credit, Callback done,
                                Tier tier) {
@@ -133,19 +134,24 @@ InvocationId Platform::enqueue(FunctionId id, Cycles work,
                  {"credit", exec_credit},
                  {"tier", tier == Tier::Spot ? "spot" : "on_demand"}});
   }
-  if (busy_ >= cfg_.account_concurrency || !queue_.empty()) {
-    ++stats_.throttled;
-    if (m_.throttled) m_.throttled->add();
-    if (trace_)
-      obs::emit(trace_, sim_.now(), "faas.throttled",
-                {{"fn", id}, {"queue_depth", queue_.size()}});
-  }
   const InvocationId inv_id = next_invocation_++;
-  queue_.push_back(PendingInvocation{inv_id, id, work, std::move(done),
-                                     sim_.now(), tier, exec_credit});
+  PendingInvocation inv{
+      inv_id, id, work, std::move(done), sim_.now(), tier, exec_credit};
+  if (busy_ < cfg_.account_concurrency && queue_.empty()) {
+    // pump() would admit it at once: skip the queue round trip.
+    begin(std::move(inv));
+    return inv_id;
+  }
+  ++stats_.throttled;
+  if (m_.throttled) m_.throttled->add();
+  if (trace_)
+    obs::emit(trace_, sim_.now(), "faas.throttled",
+              {{"fn", id}, {"queue_depth", queue_.size()}});
+  queue_.push_back(std::move(inv));  // ntco-lint: allow(R6) throttled invocations only: the FIFO grows while the account concurrency limit is hit
   pump();
   return inv_id;
 }
+// ntco-lint: hotpath end
 
 const FunctionSpec& Platform::spec(FunctionId id) const {
   NTCO_EXPECTS(id < fns_.size());
@@ -231,7 +237,8 @@ void Platform::pump() {
   }
 }
 
-void Platform::begin(PendingInvocation inv) {
+// ntco-lint: hotpath begin
+void Platform::begin(PendingInvocation&& inv) {
   Function& fn = fns_[inv.fn];
 
   bool provisioned = false;
@@ -285,7 +292,18 @@ void Platform::begin(PendingInvocation inv) {
     }
   }
 
-  RunningInvocation run;
+  // Ids only grow, so every entry lands at the end of running_.
+  const InvocationId id = inv.id;
+  RunningMap::iterator slot;
+  if (spare_running_.empty()) {
+    slot = running_.try_emplace(running_.end(), id);  // ntco-lint: allow(R6) node pool grows only past its high-water mark of running invocations; complete() recycles every node
+  } else {
+    RunningMap::node_type node = std::move(spare_running_.back());
+    spare_running_.pop_back();
+    node.key() = id;
+    slot = running_.insert(running_.end(), std::move(node));  // ntco-lint: allow(R6) relinks a recycled node: no allocation
+  }
+  RunningInvocation& run = slot->second;
   run.fn = inv.fn;
   run.done = std::move(inv.done);
   run.submitted = inv.submitted;
@@ -298,17 +316,15 @@ void Platform::begin(PendingInvocation inv) {
   run.provisioned = provisioned;
   run.preempted_by_clock = preempted;
   run.tier = inv.tier;
-  const InvocationId id = inv.id;
   run.completion =
       sim_.schedule_after(init + exec, [this, id] { complete(id, false); });
-  running_.emplace(id, std::move(run));
 }
 
 void Platform::complete(InvocationId id, bool forced) {
   const auto it = running_.find(id);
   NTCO_EXPECTS(it != running_.end());
-  RunningInvocation run = std::move(it->second);
-  running_.erase(it);
+  RunningMap::node_type node = running_.extract(it);
+  RunningInvocation& run = node.mapped();
   if (forced) sim_.cancel(run.completion);
 
   const TimePoint now = sim_.now();
@@ -377,9 +393,14 @@ void Platform::complete(InvocationId id, bool forced) {
   } else {
     finish_instance(fn_id, provisioned);
   }
-  run.done(r);
+  // Recycle the node before the callback runs: an invoke() from inside it
+  // reuses the node instead of allocating.
+  Callback done = std::move(run.done);
+  spare_running_.push_back(std::move(node));  // ntco-lint: allow(R6) grows only past the high-water mark of running invocations; begin() takes the nodes back
+  done(r);
   pump();
 }
+// ntco-lint: hotpath end
 
 bool Platform::checkpoint_preempt(InvocationId id) {
   // Still throttled: remove from the queue and complete with zero exec.
@@ -430,31 +451,31 @@ std::optional<InFlightStatus> Platform::in_flight(InvocationId id) const {
   return InFlightStatus{true, consumed, run.planned_exec - consumed};
 }
 
+// ntco-lint: hotpath begin
 void Platform::finish_instance(FunctionId fn_id, bool provisioned) {
   NTCO_EXPECTS(busy_ > 0);
   --busy_;
   Function& fn = fns_[fn_id];
-  if (provisioned) {
-    if (fn.provisioned_total > fn.provisioned_target) {
-      --fn.provisioned_total;  // retire excess provisioned capacity
-    } else {
-      fn.idle.push_back(IdleInstance{next_instance_++, sim::kNoEvent, true});
-    }
+  if (provisioned && fn.provisioned_total > fn.provisioned_target) {
+    --fn.provisioned_total;  // retire excess provisioned capacity
     return;
   }
-  // On-demand instance stays warm for the keep-alive window.
   const std::uint64_t instance_id = next_instance_++;
-  const auto expiry =
-      sim_.schedule_after(cfg_.keep_alive, [this, fn_id, instance_id] {
-        auto& idle = fns_[fn_id].idle;
-        const auto it = std::find_if(idle.begin(), idle.end(),
-                                     [&](const IdleInstance& i) {
-                                       return i.instance_id == instance_id;
-                                     });
-        if (it != idle.end()) idle.erase(it);
-      });
-  fn.idle.push_back(IdleInstance{instance_id, expiry, false});
+  IdleInstance inst{instance_id, sim::kNoEvent, provisioned};
+  // An on-demand instance stays warm for the keep-alive window.
+  if (!provisioned)
+    inst.expiry_event =
+        sim_.schedule_after(cfg_.keep_alive, [this, fn_id, instance_id] {
+          auto& idle = fns_[fn_id].idle;
+          const auto it = std::find_if(idle.begin(), idle.end(),
+                                       [&](const IdleInstance& i) {
+                                         return i.instance_id == instance_id;
+                                       });
+          if (it != idle.end()) idle.erase(it);
+        });
+  fn.idle.push_back(inst);  // ntco-lint: allow(R6) the warm pool keeps its capacity; it grows only past the function's high-water mark of idle instances
 }
+// ntco-lint: hotpath end
 
 void Platform::accrue_provisioned() const {
   const TimePoint now = sim_.now();

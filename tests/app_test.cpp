@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <set>
 
 #include "ntco/app/generators.hpp"
@@ -90,6 +91,120 @@ TEST(TaskGraph, WorkScalingPreservesStructure) {
   EXPECT_EQ(scaled.total_flow_bytes(), g.total_flow_bytes());
   EXPECT_EQ(scaled.component(0).pinned_local, true);
   EXPECT_THROW((void)g.with_work_scaled(0.0), ContractViolation);
+}
+
+/// Kahn's algorithm run from scratch, as TaskGraph computed it per call
+/// before its order was kept by the mutators. Empty on a cycle.
+std::vector<ComponentId> fresh_kahn(const TaskGraph& g) {
+  std::vector<std::size_t> indegree(g.component_count(), 0);
+  for (const auto& f : g.flows()) ++indegree[f.to];
+  std::deque<ComponentId> ready;
+  for (ComponentId v = 0; v < g.component_count(); ++v)
+    if (indegree[v] == 0) ready.push_back(v);
+  std::vector<ComponentId> order;
+  while (!ready.empty()) {
+    const ComponentId v = ready.front();
+    ready.pop_front();
+    order.push_back(v);
+    for (const std::size_t fi : g.out_flows(v))
+      if (--indegree[g.flow(fi).to] == 0) ready.push_back(g.flow(fi).to);
+  }
+  if (order.size() != g.component_count()) order.clear();
+  return order;
+}
+
+/// Every invariant the graph keeps equals its from-scratch value.
+void expect_invariants_fresh(const TaskGraph& g) {
+  SCOPED_TRACE(g.name());
+  ASSERT_TRUE(g.is_dag());
+  EXPECT_EQ(g.topological_order(), fresh_kahn(g));
+  Cycles work;
+  for (const auto& c : g.components()) work += c.work;
+  EXPECT_EQ(g.total_work(), work);
+  DataSize bytes;
+  for (const auto& f : g.flows()) bytes += f.bytes;
+  EXPECT_EQ(g.total_flow_bytes(), bytes);
+  DataSize image;
+  std::size_t offloadable = 0;
+  for (const auto& c : g.components()) {
+    if (c.pinned_local) continue;
+    image += c.image;
+    ++offloadable;
+  }
+  EXPECT_EQ(g.pinned_count(), g.component_count() - offloadable);
+  EXPECT_EQ(g.mean_offloadable_image(),
+            offloadable == 0 ? DataSize::zero()
+                             : DataSize::bytes(image.count_bytes() /
+                                               offloadable));
+}
+
+TEST(TaskGraphInvariants, MatchFreshValuesOnEveryGraphFamily) {
+  std::vector<TaskGraph> graphs = workloads::all();
+  GeneratorParams p;
+  p.components = 12;
+  graphs.push_back(linear_pipeline(p, Rng(3)));
+  graphs.push_back(fan_out_fan_in(6, p, Rng(4)));
+  for (std::uint64_t seed = 0; seed < 8; ++seed)
+    graphs.push_back(layered_random(2 + seed % 4, p, Rng(seed)));
+  graphs.push_back(diamond());
+  const std::size_t originals = graphs.size();
+  for (std::size_t i = 0; i < originals; ++i)
+    graphs.push_back(graphs[i].with_work_scaled(1.5));
+  for (const auto& g : graphs) expect_invariants_fresh(g);
+}
+
+TEST(TaskGraphInvariants, GrowingAfterAQueryUpdatesThem) {
+  TaskGraph g = diamond();
+  ASSERT_EQ(g.topological_order(), (std::vector<ComponentId>{0, 1, 2, 3}));
+  // A new source slots in after the existing ones; a flow into b delays b
+  // behind c in Kahn's FIFO.
+  const auto e = g.add_component({"e", Cycles::mega(5), DataSize::megabytes(64),
+                                  DataSize::megabytes(9), false});
+  EXPECT_EQ(g.topological_order(), (std::vector<ComponentId>{0, 4, 1, 2, 3}));
+  g.add_flow(e, 1, DataSize::kilobytes(10));
+  EXPECT_EQ(g.topological_order(), (std::vector<ComponentId>{0, 4, 2, 1, 3}));
+  expect_invariants_fresh(g);
+  EXPECT_EQ(g.total_work(), Cycles::mega(105));
+  EXPECT_EQ(g.total_flow_bytes(), DataSize::kilobytes(1010));
+  EXPECT_EQ(g.mean_offloadable_image(), DataSize::bytes(19'000'000 / 3));
+}
+
+TEST(TaskGraphInvariants, CycleClosedAfterAQueryIsDetected) {
+  TaskGraph g = diamond();
+  ASSERT_TRUE(g.is_dag());
+  ASSERT_EQ(g.topological_order().size(), 4u);
+  g.add_flow(3, 0, DataSize::bytes(1));
+  EXPECT_FALSE(g.is_dag());
+  EXPECT_THROW((void)g.topological_order(), ConfigError);
+}
+
+TEST(TaskGraphInvariants, BatchOfFlowsMatchesFlowByFlow) {
+  TaskGraph one = diamond();
+  TaskGraph batch = diamond();
+  const std::vector<DataFlow> extra = {{0, 3, DataSize::kilobytes(7)},
+                                       {1, 2, DataSize::kilobytes(9)}};
+  for (const auto& f : extra) one.add_flow(f.from, f.to, f.bytes);
+  batch.add_flows(extra);
+  EXPECT_EQ(batch.flows().size(), one.flows().size());
+  for (ComponentId v = 0; v < one.component_count(); ++v)
+    EXPECT_EQ(batch.out_flows(v), one.out_flows(v));
+  EXPECT_EQ(batch.topological_order(), one.topological_order());
+  expect_invariants_fresh(batch);
+
+  // A bad flow anywhere in the batch rejects the whole batch.
+  const std::vector<DataFlow> bad = {{0, 1, DataSize::bytes(1)},
+                                     {2, 2, DataSize::bytes(1)}};
+  EXPECT_THROW(batch.add_flows(bad), ContractViolation);
+  EXPECT_EQ(batch.flow_count(), one.flow_count());
+  expect_invariants_fresh(batch);
+}
+
+TEST(TaskGraphInvariants, AllPinnedGraphHasNoOffloadableImage) {
+  TaskGraph g("pinned");
+  (void)g.add_component({"a", Cycles::mega(1), {}, DataSize::megabytes(5),
+                         true});
+  EXPECT_EQ(g.pinned_count(), 1u);
+  EXPECT_EQ(g.mean_offloadable_image(), DataSize::zero());
 }
 
 TEST(Generators, PipelineShape) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ntco/app/workloads.hpp"
 #include "ntco/common/error.hpp"
 #include "ntco/core/controller.hpp"
@@ -214,6 +216,119 @@ TEST(FailureInjection, ZeroRetriesFailsFaster) {
   const auto patient = run_with_retries(4);
   EXPECT_LT(eager.transfer_failures, patient.transfer_failures);
   EXPECT_LT(eager.makespan, patient.makespan);  // fewer timeouts burned
+}
+
+// --- Run-record lifecycle: exactly one `done` per run, and every record
+// back in the pool once the simulator drains. ------------------------------
+
+struct Outcome {
+  int dones = 0;
+  core::ExecutionReport report;
+};
+
+Outcome run_to_quiescence(Fixture& fx, const app::TaskGraph& g,
+                          const core::DeploymentPlan& plan) {
+  Outcome out;
+  fx.controller.execute_async(plan, g, [&out](const core::ExecutionReport& r) {
+    ++out.dones;
+    out.report = r;
+  });
+  EXPECT_EQ(fx.controller.live_runs(), 1u);
+  fx.sim.run();
+  return out;
+}
+
+TEST(RunLifecycle, SequentialSuccessReturnsItsRecord) {
+  Fixture fx(0.0, 0.0);
+  const auto g = app::workloads::ml_batch_training();
+  const auto plan = fx.controller.prepare(g, partition::MinCutPartitioner{});
+  ASSERT_GT(plan.partition.remote_count(), 0u);
+  const Outcome out = run_to_quiescence(fx, g, plan);
+  EXPECT_EQ(out.dones, 1);
+  EXPECT_FALSE(out.report.failed);
+  EXPECT_GT(out.report.remote_invocations, 0u);
+  EXPECT_EQ(fx.controller.live_runs(), 0u);
+
+  // Concurrent runs each hold a record; all return.
+  int dones = 0;
+  for (int i = 0; i < 5; ++i)
+    fx.controller.execute_async(plan, g,
+                                [&dones](const core::ExecutionReport&) {
+                                  ++dones;
+                                });
+  EXPECT_EQ(fx.controller.live_runs(), 5u);
+  fx.sim.run();
+  EXPECT_EQ(dones, 5);
+  EXPECT_EQ(fx.controller.live_runs(), 0u);
+}
+
+TEST(RunLifecycle, SequentialUploadFallbackReturnsItsRecord) {
+  Fixture fx(1.0, 0.0);
+  const auto g = app::workloads::ml_batch_training();
+  const auto plan = fx.controller.prepare(g, partition::MinCutPartitioner{});
+  ASSERT_GT(plan.partition.remote_count(), 0u);
+  const Outcome out = run_to_quiescence(fx, g, plan);
+  EXPECT_EQ(out.dones, 1);
+  EXPECT_FALSE(out.report.failed);
+  EXPECT_GT(out.report.local_fallbacks, 0u);
+  EXPECT_EQ(fx.controller.live_runs(), 0u);
+}
+
+TEST(RunLifecycle, SequentialDownloadFailureReturnsItsRecord) {
+  Fixture fx(0.0, 1.0);
+  const auto g = app::workloads::ml_batch_training();
+  const auto plan = fx.controller.prepare(g, partition::MinCutPartitioner{});
+  ASSERT_GT(plan.partition.remote_count(), 0u);
+  const Outcome out = run_to_quiescence(fx, g, plan);
+  EXPECT_EQ(out.dones, 1);
+  EXPECT_TRUE(out.report.failed);
+  EXPECT_EQ(fx.controller.live_runs(), 0u);
+}
+
+TEST(RunLifecycle, FailedParallelRunHoldsItsRecordUntilStragglersFire) {
+  // A pinned splitter feeds eight remote workers whose results must come
+  // down to a pinned collector. The dead downlink fails the run at the
+  // first worker's download, while the other workers are still running.
+  app::TaskGraph g("fanout");
+  const auto mem = DataSize::megabytes(192);
+  const auto img = DataSize::megabytes(20);
+  const auto split =
+      g.add_component({"split", Cycles::mega(50), mem, img, true, 0.8});
+  const auto join =
+      g.add_component({"join", Cycles::mega(50), mem, img, true, 0.8});
+  for (int i = 0; i < 8; ++i) {
+    const auto w = g.add_component({"worker" + std::to_string(i),
+                                    Cycles::giga(8), mem, img, false, 0.8});
+    g.add_flow(split, w, DataSize::kilobytes(50));
+    g.add_flow(w, join, DataSize::kilobytes(50));
+  }
+  Fixture fx(0.0, 1.0, 7, core::ExecutionMode::Parallel);
+  const auto plan = fx.controller.prepare(g, partition::RemoteAllPartitioner{});
+  ASSERT_EQ(plan.partition.remote_count(), 8u);
+
+  int dones = 0;
+  std::size_t live_at_done = 0;
+  std::size_t running_at_done = 0;
+  core::ExecutionReport report;
+  fx.controller.execute_async(plan, g, [&](const core::ExecutionReport& r) {
+    ++dones;
+    report = r;
+    live_at_done = fx.controller.live_runs();
+    running_at_done = fx.platform.concurrency_in_use();
+  });
+  fx.sim.run();
+  EXPECT_EQ(dones, 1);
+  EXPECT_TRUE(report.failed);
+  EXPECT_GT(running_at_done, 0u);  // stragglers were still executing
+  EXPECT_EQ(live_at_done, 1u);     // so the record was still held
+  EXPECT_EQ(fx.controller.live_runs(), 0u);
+  EXPECT_EQ(fx.platform.concurrency_in_use(), 0u);
+
+  // The recycled record serves a fresh run.
+  const Outcome again = run_to_quiescence(fx, g, plan);
+  EXPECT_EQ(again.dones, 1);
+  EXPECT_TRUE(again.report.failed);
+  EXPECT_EQ(fx.controller.live_runs(), 0u);
 }
 
 }  // namespace

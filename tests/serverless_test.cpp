@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "ntco/common/error.hpp"
@@ -413,6 +415,135 @@ TEST(PlatformCheckpoint, UnknownHandleReturnsFalse) {
   s.run();
   EXPECT_FALSE(p.checkpoint_preempt(inv));  // already completed
   EXPECT_FALSE(p.checkpoint_preempt(inv + 17));
+}
+
+// --- Admission without the queue round trip, and recycled running_
+// entries. ------------------------------------------------------------------
+
+TEST(PlatformRecycling, ThrottledInvocationsStartInFifoOrder) {
+  sim::Simulator s;
+  auto cfg = fast_config();
+  cfg.account_concurrency = 1;
+  Platform p(s, cfg);
+  const auto id = p.deploy(small_fn());
+  std::vector<std::size_t> finished;
+  std::vector<InvocationResult> results(4);
+  // Distinct works, so that an out-of-order start would reorder finishes.
+  const std::vector<Cycles> works = {Cycles::giga(4), Cycles::giga(1),
+                                     Cycles::giga(3), Cycles::giga(2)};
+  for (std::size_t i = 0; i < 4; ++i)
+    p.invoke(id, works[i], [&, i](const InvocationResult& r) {
+      finished.push_back(i);
+      results[i] = r;
+    });
+  EXPECT_EQ(p.concurrency_in_use(), 1u);
+  EXPECT_EQ(p.stats().throttled, 3u);
+  s.run();
+  EXPECT_EQ(finished, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(results[0].queue_wait.is_zero());
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(results[i].started, results[i - 1].finished) << i;
+    EXPECT_EQ(results[i].queue_wait,
+              results[i - 1].finished - results[i].submitted)
+        << i;
+  }
+}
+
+TEST(PlatformRecycling, InvokeFromInsideACompletionCallback) {
+  sim::Simulator s;
+  Platform p(s, fast_config());
+  const auto id = p.deploy(small_fn());
+  std::vector<InvocationId> ids;
+  std::vector<InvocationResult> results;
+  // Each completion invokes the next link of a five-link chain; the new
+  // invocation takes the node its predecessor just released.
+  std::function<void(const InvocationResult&)> next =
+      [&](const InvocationResult& r) {
+        results.push_back(r);
+        if (results.size() == 5) return;
+        const InvocationId inv = p.invoke(id, Cycles::giga(2), next);
+        ids.push_back(inv);
+        const auto st = p.in_flight(inv);
+        ASSERT_TRUE(st.has_value());
+        EXPECT_TRUE(st->executing);
+        EXPECT_EQ(st->remaining, Duration::seconds(1));
+        EXPECT_FALSE(p.in_flight(ids[ids.size() - 2]).has_value());
+      };
+  ids.push_back(p.invoke(id, Cycles::giga(2), next));
+  s.run();
+  ASSERT_EQ(results.size(), 5u);
+  EXPECT_EQ(ids, (std::vector<InvocationId>{1, 2, 3, 4, 5}));
+  EXPECT_TRUE(results[0].cold_start);
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_FALSE(results[i].cold_start);
+    EXPECT_EQ(results[i].started, results[i - 1].finished);
+    EXPECT_EQ(results[i].exec_time, Duration::seconds(1));
+  }
+  EXPECT_EQ(p.concurrency_in_use(), 0u);
+}
+
+TEST(PlatformRecycling, CheckpointAndInFlightSeeRecycledEntries) {
+  sim::Simulator s;
+  auto cfg = fast_config();
+  cfg.spot_mean_time_to_preempt = Duration::zero();  // only forced preempts
+  Platform p(s, cfg);
+  const auto id = p.deploy(small_fn());
+  // Three invocations run to completion; their nodes go back to the pool.
+  std::vector<InvocationId> old;
+  for (int i = 0; i < 3; ++i)
+    old.push_back(
+        p.invoke(id, Cycles::giga(2), [](const InvocationResult&) {}));
+  s.run();
+  for (const InvocationId inv : old) {
+    EXPECT_FALSE(p.in_flight(inv).has_value());
+    EXPECT_FALSE(p.checkpoint_preempt(inv));
+  }
+
+  // Two new invocations reuse those nodes under fresh ids. The keep-alive
+  // window has lapsed, so both cold-start: 300 ms of init, then exec.
+  InvocationResult a, b;
+  const TimePoint t0 = s.now();
+  const InvocationId ia =
+      p.invoke(id, Cycles::giga(2), [&a](const InvocationResult& r) { a = r; });
+  const InvocationId ib =
+      p.invoke(id, Cycles::giga(4), [&b](const InvocationResult& r) { b = r; });
+  EXPECT_EQ(ia, 4u);
+  EXPECT_EQ(ib, 5u);
+  s.schedule_at(t0 + Duration::millis(550), [&] {
+    const auto sa = p.in_flight(ia);
+    const auto sb = p.in_flight(ib);
+    ASSERT_TRUE(sa.has_value());
+    ASSERT_TRUE(sb.has_value());
+    EXPECT_EQ(sa->consumed, Duration::millis(250));
+    EXPECT_EQ(sa->remaining, Duration::millis(750));
+    EXPECT_EQ(sb->remaining, Duration::millis(1750));
+    EXPECT_TRUE(p.checkpoint_preempt(ib));
+    EXPECT_FALSE(p.in_flight(ib).has_value());
+    EXPECT_TRUE(p.in_flight(ia).has_value());
+    for (const InvocationId inv : old)
+      EXPECT_FALSE(p.in_flight(inv).has_value());
+  });
+  s.run();
+  EXPECT_FALSE(a.preempted);
+  EXPECT_EQ(a.exec_time, Duration::seconds(1));
+  EXPECT_EQ(a.finished, t0 + Duration::millis(1300));
+  EXPECT_TRUE(b.preempted);
+  EXPECT_EQ(b.exec_time, Duration::millis(250));
+  EXPECT_EQ(b.finished, t0 + Duration::millis(550));
+}
+
+TEST(PlatformRecycling, CallbacksMayBeMoveOnly) {
+  sim::Simulator s;
+  Platform p(s, fast_config());
+  const auto id = p.deploy(small_fn());
+  auto payload = std::make_unique<int>(42);
+  int seen = 0;
+  Platform::Callback cb = [payload = std::move(payload),
+                           &seen](const InvocationResult&) { seen = *payload; };
+  EXPECT_TRUE(cb.is_inline());
+  p.invoke(id, Cycles::giga(2), std::move(cb));
+  s.run();
+  EXPECT_EQ(seen, 42);
 }
 
 }  // namespace
